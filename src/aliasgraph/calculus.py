@@ -44,7 +44,6 @@ dirty frame's own body finishes, it is re-analyzed to a fixpoint.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -75,14 +74,15 @@ TRUE = "definitely-true"
 FALSE = "definitely-false"
 UNKNOWN = "unknown"
 
+# distinct-context recursion depth per routine
+UNROLL_LIMIT = 4
+
 
 @dataclass
 class AnalysisConfig:
     cap: int = 1  # creation allowance per site per enclosing fixpoint
     max_iters: int = 1000  # fixpoint iteration ceiling
-    max_path_len: int = 6  # query-time path enumeration bound
     choice_mode: str = "replay"  # "replay" | "clone" (naive reference mode)
-    unroll_limit: int = 4  # distinct-context recursion depth per routine
     record_points: bool = True
 
     def __post_init__(self):
@@ -165,7 +165,7 @@ class Engine:
         self._desugared: Dict[int, Choice] = {}
         self._var_types: Dict[int, Dict[str, str]] = {}
         self.entry_name: Optional[str] = None
-        self.elapsed: float = 0.0
+        self.entry_frame: Optional[_Frame] = None
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -476,20 +476,20 @@ class Engine:
 
     def _creation_node(self, site):
         if not self.fix_stack:
-            return self.diagram.include()
+            return self.diagram.fresh_node()
         for scope in self.fix_stack:
             scope.counters[site] = scope.counters.get(site, 0) + 1
         if any(scope.counters[site] > self.config.cap for scope in self.fix_stack):
             # over allowance: reuse the site's capped node so iteration
-            # cannot mint fresh objects forever
+            # cannot mint fresh objects forever.  An outer scope has counted
+            # every creation an inner one has, so the outermost scope is
+            # over the cap whenever any is, and it recorded its capped node
+            # when it reached the cap.
             for scope in reversed(self.fix_stack):
                 if scope.counters[site] > self.config.cap and site in scope.capped:
                     return scope.capped[site]
-            for scope in reversed(self.fix_stack):
-                if site in scope.capped:
-                    return scope.capped[site]
             raise AssertionError("creation counter exceeded with no capped node")
-        node = self.diagram.include()
+        node = self.diagram.fresh_node()
         for scope in self.fix_stack:
             if scope.counters[site] == self.config.cap:
                 scope.capped[site] = node
@@ -665,25 +665,31 @@ class Engine:
     # ------------------------------------------------------------------
 
     def apply_loop(self, instr, frame):
+        self._fixpoint(
+            lambda: self.apply_compound(instr.body, frame),
+            "loop fixpoint exceeded %d iterations; result may be partial" % self.config.max_iters,
+            instr.pos,
+        )
+
+    def _fixpoint(self, step, overflow_message, pos):
+        """Run ``step`` until the live state revisits one seen before,
+        then restore the union of every iteration-boundary state.
+
+        The step is deterministic, so a revisit closes the orbit: every
+        further iteration replays edges the union already has.  (A plain
+        "unchanged since last pass" check can quit one pass early when
+        the step oscillates between states whose union looks stable.)
+        """
         scope = _FixpointScope()
         self.fix_stack.append(scope)
-        # Iterate until the live state revisits one seen before.  The body
-        # is a deterministic step, so a revisit closes the orbit: every
-        # further iteration replays edges the union already has.  (A plain
-        # "unchanged since last pass" check can quit one pass early when
-        # the body oscillates between states whose union looks stable.)
         scope.union_edges |= self.diagram.edge_set()
         seen = {self._state_key()}
         while True:
-            scope.iterations += 1
-            if scope.iterations > self.config.max_iters:
-                self._diag(
-                    "error",
-                    "loop fixpoint exceeded %d iterations; result may be partial" % self.config.max_iters,
-                    instr.pos,
-                )
+            if scope.iterations == self.config.max_iters:
+                self._diag("error", overflow_message, pos)
                 break
-            self.apply_compound(instr.body, frame)
+            scope.iterations += 1
+            step()
             scope.union_edges |= self.diagram.edge_set()
             key = self._state_key()
             if key in seen:
@@ -816,7 +822,7 @@ class Engine:
             if fr.context_key == context_key:
                 return self._recursive_cutoff(fr, actual_paths)
         same_routine = [fr for fr in self.call_stack if fr.version is version]
-        if len(same_routine) >= self.config.unroll_limit:
+        if len(same_routine) >= UNROLL_LIMIT:
             return self._recursive_cutoff(same_routine[-1], actual_paths)
 
         self._next_act += 1
@@ -873,29 +879,16 @@ class Engine:
             fr.acc.setdefault(r, set()).update(self.diagram.value_set((rl,), start=(r,)))
 
     def _frame_fixpoint(self, fr):
-        scope = _FixpointScope()
-        self.fix_stack.append(scope)
-        scope.union_edges |= self.diagram.edge_set()
-        seen = {self._state_key()}
-        while True:
-            scope.iterations += 1
-            if scope.iterations > self.config.max_iters:
-                self._diag(
-                    "error",
-                    "recursion fixpoint for %r exceeded %d iterations" % (fr.version.name, self.config.max_iters),
-                    fr.version.pos,
-                )
-                break
+        def step():
             self._bind_formals(fr)
             self.apply_compound(fr.version.body, fr)
             self._accumulate_result(fr)
-            scope.union_edges |= self.diagram.edge_set()
-            key = self._state_key()
-            if key in seen:
-                break
-            seen.add(key)
-        self.fix_stack.pop()
-        self._restore_union(scope)
+
+        self._fixpoint(
+            step,
+            "recursion fixpoint for %r exceeded %d iterations" % (fr.version.name, self.config.max_iters),
+            fr.version.pos,
+        )
 
     def _unbind_activation(self, act):
         doomed = [e for e in self.diagram.edge_set() if e[0].tag == act]
@@ -927,7 +920,6 @@ class Engine:
 
     def analyze(self, entry_name):
         """Run the analysis from the named entry routine."""
-        start = time.perf_counter()
         version = self._find_entry(entry_name)
         self.entry_name = entry_name
         root = self.diagram.add_root()
@@ -955,12 +947,11 @@ class Engine:
         # about its locals
         self.call_stack.pop()
         self.entry_frame = frame
-        self.elapsed = time.perf_counter() - start
         return self
 
     def report_scope(self):
         """Name-to-label view for queries against the final diagram."""
-        return dict(self.entry_frame.scope) if hasattr(self, "entry_frame") else {}
+        return dict(self.entry_frame.scope) if self.entry_frame is not None else {}
 
 
 def analyze_program(program, entry, config=None):

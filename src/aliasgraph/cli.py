@@ -33,7 +33,6 @@ class RunConfig:
     entry: str = "main"
     cap: int = 1
     max_iters: int = 1000
-    max_path_len: int = 6
     points: bool = False
     at: Optional[str] = None
     queries: List[str] = field(default_factory=list)
@@ -84,7 +83,6 @@ def _load(path, config):
         AnalysisConfig(
             cap=config.cap,
             max_iters=config.max_iters,
-            max_path_len=config.max_path_len,
             record_points=bool(config.points or config.at or config.deutsch),
         ),
     )
@@ -193,7 +191,6 @@ def run_corpus(config) -> int:
             entry=want_doc.get("entry", config.entry),
             cap=config.cap,
             max_iters=config.max_iters,
-            max_path_len=config.max_path_len,
             points=True,
         )
         engine, rc = _load(oo_path, file_config)
@@ -231,8 +228,6 @@ def _build_parser():
                         help="creation allowance per site inside a fixpoint (default: 1)")
     shared.add_argument("--max-iters", type=int, default=1000, metavar="N",
                         help="fixpoint iteration ceiling (default: 1000)")
-    shared.add_argument("--max-path-len", type=int, default=6, metavar="N",
-                        help="depth bound for query path enumeration (default: 6)")
 
     parser = argparse.ArgumentParser(
         prog="aliasgraph",
@@ -263,12 +258,14 @@ def main(argv=None) -> int:
         print("cap and iteration ceiling must be at least 1", file=sys.stderr)
         return 2
     if args.command == "analyze":
+        if args.json == "-" and args.dot == "-":
+            print("--json and --dot cannot both write to stdout", file=sys.stderr)
+            return 2
         config = RunConfig(
             inputs=[args.file],
             entry=args.entry,
             cap=args.cap,
             max_iters=args.max_iters,
-            max_path_len=args.max_path_len,
             points=args.points,
             at=args.at,
             queries=args.query,
@@ -282,7 +279,6 @@ def main(argv=None) -> int:
         entry=args.entry,
         cap=args.cap,
         max_iters=args.max_iters,
-        max_path_len=args.max_path_len,
     )
     return run_corpus(config)
 

@@ -13,7 +13,7 @@ family of possible heaps, and the families share whatever structure the
 fork left untouched.  Alias questions on such a diagram must be answered
 within each root's component and or-ed across roots; intersecting the
 merged value sets would conflate objects that belong to different worlds.
-``value_sets_by_root`` and ``alias_set`` implement that discipline, while
+``value_sets_by_root`` and ``may_alias`` implement that discipline, while
 plain ``value_set`` gives the merged view used for condition tests.
 
 Invariants maintained by every mutating operation:
@@ -28,7 +28,8 @@ Example:
     >>> g = AliasDiagram()
     >>> r = g.add_root()
     >>> n = g.fresh_node()
-    >>> g.link(Label("a"), {n})
+    >>> g.add_edge(Label("a"), r, n)
+    True
     >>> g.value_set((Label("a"),)) == frozenset({n})
     True
 """
@@ -60,12 +61,7 @@ class Label:
     def display(self) -> str:
         return self.name + "'" * min(self.prime, 3) if self.prime else self.name
 
-    def is_internal(self) -> bool:
-        """True for labels that never appear in source programs."""
-        return self.prime > 0
 
-
-Path = Tuple[Label, ...]
 Edge = Tuple[Label, NodeId, NodeId]
 
 
@@ -134,9 +130,6 @@ class AliasDiagram:
             del self._out[source][label]
         return True
 
-    def has_edge(self, label: Label, source: NodeId, target: NodeId) -> bool:
-        return (label, source, target) in self._edges
-
     def edge_set(self) -> FrozenSet[Edge]:
         return frozenset(self._edges)
 
@@ -185,63 +178,7 @@ class AliasDiagram:
                 return True
         return False
 
-    def alias_set(self, p: Sequence[Label], universe: Iterable[Sequence[Label]]) -> List[Path]:
-        """All paths in ``universe`` that may alias ``p`` (``p`` included
-        when its own value set is non-empty under some root)."""
-        out = []
-        for q in universe:
-            if self.may_alias(p, q):
-                out.append(tuple(q))
-        return out
-
     # -- whole-diagram operations ---------------------------------------------
-    #
-    # These are the algebra the analysis rules are written in.  link/unlink/
-    # relink act on edges whose source is a root; finer per-root surgery is
-    # done by the callers through add_edge/remove_edge.
-
-    def link(self, label: Label, targets: Iterable[NodeId]) -> List[Edge]:
-        """Add ``label`` edges from every root to every target."""
-        added = []
-        for r in sorted(self.roots):
-            for t in sorted(targets):
-                if self.add_edge(label, r, t):
-                    added.append((label, r, t))
-        return added
-
-    def unlink(self, label: Label) -> List[Edge]:
-        """Drop all root-sourced edges carrying ``label``."""
-        removed = []
-        for r in sorted(self.roots):
-            for t in sorted(self.successors(r, label)):
-                self.remove_edge(label, r, t)
-                removed.append((label, r, t))
-        return removed
-
-    def unlink_many(self, labels: Iterable[Label]) -> List[Edge]:
-        removed = []
-        for label in labels:
-            removed.extend(self.unlink(label))
-        return removed
-
-    def relink(self, label: Label, targets: Iterable[NodeId]) -> None:
-        self.unlink(label)
-        self.link(label, targets)
-
-    def bulk_link(self, bindings: Sequence[Tuple[Label, Sequence[Label]]]) -> None:
-        """Link each (label, path) pair, all paths evaluated first.
-
-        Every path is valued against the incoming diagram, then the links
-        are installed, so later bindings cannot observe earlier ones.
-        Valuation is per root: each root receives edges toward its own
-        view of the path.
-        """
-        staged: List[Tuple[Label, NodeId, NodeId]] = []
-        for label, path in bindings:
-            for r, vals in sorted(self.value_sets_by_root(path).items()):
-                staged.extend((label, r, v) for v in sorted(vals))
-        for label, r, v in staged:
-            self.add_edge(label, r, v)
 
     def reroot(self, new_roots: Iterable[NodeId]) -> FrozenSet[NodeId]:
         """Replace the root set; returns the previous one."""
@@ -252,17 +189,6 @@ class AliasDiagram:
         old = frozenset(self.roots)
         self.roots = new
         return old
-
-    def include(self, node: Optional[NodeId] = None) -> NodeId:
-        """Add an isolated node (fresh unless an id is supplied).
-
-        This is how object creation enters the diagram: the new node has
-        no structure yet and becomes reachable only once linked.
-        """
-        if node is None:
-            return self.fresh_node()
-        self.ensure_node(node)
-        return node
 
     def union(self, other: "AliasDiagram") -> None:
         """Componentwise in-place union, preserving node identities.
@@ -305,21 +231,6 @@ class AliasDiagram:
         twin._out = {n: {l: set(ts) for l, ts in bylabel.items()} for n, bylabel in self._out.items()}
         twin._next_id = self._next_id
         return twin
-
-    def dot_distribute(self, path: Sequence[Label], back_label: Label) -> List[Edge]:
-        """Install back-pointer edges from every node in ``V(path)`` to
-        every root, carrying ``back_label``.
-
-        This is the bookkeeping step before rerooting into a call target:
-        the caller's objects stay expressible from the target via the
-        back-pointer.
-        """
-        added = []
-        for o in sorted(self.value_set(path)):
-            for r in sorted(self.roots):
-                if self.add_edge(back_label, o, r):
-                    added.append((back_label, o, r))
-        return added
 
     # -- comparison ------------------------------------------------------------
 
@@ -407,9 +318,6 @@ class AliasDiagram:
                 best = enc
         return best if best is not None else encode(base_order)
 
-    def isomorphic_to(self, other: "AliasDiagram", reachable_only: bool = True) -> bool:
-        return self.canonical_form(reachable_only) == other.canonical_form(reachable_only)
-
     # -- sanity -----------------------------------------------------------------
 
     def check_invariants(self) -> None:
@@ -462,12 +370,6 @@ class ExprUniverse:
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    def completions(self, path: Sequence[str]) -> List[NamePath]:
-        """Strict extensions of ``path`` present in the universe."""
-        path = tuple(path)
-        k = len(path)
-        return sorted(p for p in self.paths if len(p) > k and p[:k] == path)
 
 
 def parse_name_path(text: str) -> NamePath:

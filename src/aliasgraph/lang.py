@@ -38,8 +38,8 @@ inside paths is a syntax error by construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 from aliasgraph.diagram import ExprUniverse, NamePath, parse_name_path
 
@@ -951,179 +951,3 @@ def build_expr_universe(program):
                 add_call(instr.call)
     return u
 
-
-# ---------------------------------------------------------------------------
-# Pretty printing (round-trip support)
-# ---------------------------------------------------------------------------
-
-
-def _fmt_operand(op):
-    return "Void" if op is None else ".".join(op)
-
-
-def _fmt_cond(cond):
-    if isinstance(cond, CondNot):
-        return "not " + _fmt_cond(cond.inner)
-    op = "=" if isinstance(cond, CondEq) else "/="
-    return "%s %s %s" % (_fmt_operand(cond.left), op, _fmt_operand(cond.right))
-
-
-def _fmt_call(call):
-    head = ".".join(call.target) + "." + call.name if call.target else call.name
-    return "%s (%s)" % (head, ", ".join(_fmt_operand(a) for a in call.actuals))
-
-
-def _fmt_instr(instr, indent):
-    pad = "  " * indent
-    prefix = pad + (instr.point + ": " if instr.point else "")
-    if isinstance(instr, Assign):
-        src = _fmt_call(instr.source) if isinstance(instr.source, CallExpr) else _fmt_operand(instr.source)
-        return [prefix + "%s := %s" % (".".join(instr.target), src)]
-    if isinstance(instr, Create):
-        return [prefix + "create " + instr.target]
-    if isinstance(instr, Compound):
-        if not instr.instrs:
-            return [prefix + "skip"]
-        lines = []
-        for i, sub in enumerate(instr.instrs):
-            sub_lines = _fmt_instr(sub, indent)
-            if i == 0 and instr.point:
-                sub_lines[0] = prefix + sub_lines[0].lstrip()
-            lines.extend(sub_lines)
-        return lines
-    if isinstance(instr, If):
-        lines = [prefix + "if %s then" % _fmt_cond(instr.arms[0][0])]
-        lines += _fmt_body(instr.arms[0][1], indent + 1)
-        for cond, body in instr.arms[1:]:
-            lines.append(pad + "elseif %s then" % _fmt_cond(cond))
-            lines += _fmt_body(body, indent + 1)
-        if instr.else_body is not None:
-            lines.append(pad + "else")
-            lines += _fmt_body(instr.else_body, indent + 1)
-        lines.append(pad + "end")
-        return lines
-    if isinstance(instr, Choice):
-        lines = [prefix + "then"]
-        lines += _fmt_body(instr.branches[0], indent + 1)
-        for b in instr.branches[1:]:
-            lines.append(pad + "else")
-            lines += _fmt_body(b, indent + 1)
-        lines.append(pad + "end")
-        return lines
-    if isinstance(instr, Loop):
-        lines = [prefix + "loop"]
-        lines += _fmt_body(instr.body, indent + 1)
-        if instr.until is not None:
-            lines.append(pad + "until " + _fmt_cond(instr.until))
-        lines.append(pad + "end")
-        return lines
-    if isinstance(instr, CallInstr):
-        return [prefix + _fmt_call(instr.call)]
-    if isinstance(instr, Guard):
-        lines = [prefix + "if %s then" % _fmt_cond(instr.cond)]
-        lines += _fmt_body(instr.body, indent + 1)
-        lines.append(pad + "end")
-        return lines
-    raise AssertionError("unhandled instruction %r" % (instr,))
-
-
-def _fmt_body(body, indent):
-    if isinstance(body, Compound):
-        lines = []
-        for sub in body.instrs:
-            lines.extend(_fmt_instr(sub, indent))
-        return lines
-    return _fmt_instr(body, indent)
-
-
-def to_source(program):
-    lines = []
-    for c in program.classes.values():
-        head = "class " + c.name
-        if c.parent:
-            head += " inherit " + c.parent
-            if c.redefines:
-                head += " redefine " + ", ".join(c.redefines) + " end"
-        lines.append(head)
-        lines.append("feature")
-        for name, t in c.attrs.items():
-            lines.append("  %s: %s" % (name, t))
-        for r in c.routines.values():
-            lines.extend(_fmt_routine(r, 1))
-        lines.append("end")
-        lines.append("")
-    for r in program.routines.values():
-        lines.extend(_fmt_routine(r, 0))
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _fmt_routine(r, indent):
-    pad = "  " * indent
-    head = pad + r.name
-    if r.formals:
-        groups = "; ".join("%s: %s" % (n, t) for n, t in r.formals)
-        head += " (%s)" % groups
-    if r.result_type:
-        head += ": " + r.result_type
-    lines = [head]
-    if r.locals:
-        lines.append(pad + "  local")
-        for n, t in r.locals.items():
-            lines.append(pad + "    %s: %s" % (n, t))
-    lines.append(pad + "  do")
-    lines += _fmt_body(r.body, indent + 2)
-    lines.append(pad + "  end")
-    return lines
-
-
-# -- structural identity for round-trip tests (positions ignored) -------------
-
-
-def ast_key(node):
-    if isinstance(node, Program):
-        return (
-            "program",
-            tuple(sorted((n, ast_key(c)) for n, c in node.classes.items())),
-            tuple(sorted((n, ast_key(r)) for n, r in node.routines.items())),
-        )
-    if isinstance(node, ClassDecl):
-        return (
-            "class", node.name, node.parent, tuple(node.redefines),
-            tuple(sorted(node.attrs.items())),
-            tuple(sorted((n, ast_key(r)) for n, r in node.routines.items())),
-        )
-    if isinstance(node, RoutineDecl):
-        return (
-            "routine", node.name, tuple(node.formals), node.result_type,
-            tuple(sorted(node.locals.items())), node.owner, ast_key(node.body),
-        )
-    if isinstance(node, Assign):
-        return ("assign", node.point, node.target, ast_key(node.source) if isinstance(node.source, CallExpr) else node.source)
-    if isinstance(node, Create):
-        return ("create", node.point, node.target)
-    if isinstance(node, Compound):
-        return ("compound", node.point, tuple(ast_key(i) for i in node.instrs))
-    if isinstance(node, Guard):
-        return ("guard", node.point, ast_key(node.cond), ast_key(node.body))
-    if isinstance(node, Choice):
-        return ("choice", node.point, tuple(ast_key(b) for b in node.branches))
-    if isinstance(node, If):
-        return (
-            "if", node.point,
-            tuple((ast_key(c), ast_key(b)) for c, b in node.arms),
-            ast_key(node.else_body) if node.else_body is not None else None,
-        )
-    if isinstance(node, Loop):
-        return ("loop", node.point, ast_key(node.body), ast_key(node.until) if node.until else None)
-    if isinstance(node, CallInstr):
-        return ("call", node.point, ast_key(node.call))
-    if isinstance(node, CallExpr):
-        return ("callexpr", node.target, node.name, tuple(node.actuals))
-    if isinstance(node, CondEq):
-        return ("eq", node.left, node.right)
-    if isinstance(node, CondNeq):
-        return ("neq", node.left, node.right)
-    if isinstance(node, CondNot):
-        return ("not", ast_key(node.inner))
-    raise AssertionError("unhandled node %r" % (node,))

@@ -41,10 +41,6 @@ def resolve_path(expr, scope=None):
     return (head,) + tuple(Label(s) for s in names[1:])
 
 
-def _meets(diagram, p, q):
-    return diagram.may_alias(p, q)
-
-
 # ---------------------------------------------------------------------------
 # alias pairs and query answering
 # ---------------------------------------------------------------------------
@@ -115,7 +111,7 @@ def query_alias(engine, query: AliasQuery):
         text = format_name_path(np)
         if text == qtext:
             continue
-        if _meets(diagram, qpath, resolve_path(np, scope)):
+        if diagram.may_alias(qpath, resolve_path(np, scope)):
             out.add(text)
     return out
 
@@ -179,7 +175,7 @@ def check_successive_heads(diagram, y, hd, tl, k, scope=None):
     for i in range(k):
         a = _spine(ypath, tl, i) + (hd,)
         b = _spine(ypath, tl, i + 1) + (hd,)
-        if _meets(diagram, a, b):
+        if diagram.may_alias(a, b):
             return False
     return True
 
@@ -190,7 +186,7 @@ def check_tails_disjoint(diagram, x, y, tl, k, scope=None):
     xpath, ypath = resolve_path(x, scope), resolve_path(y, scope)
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            if _meets(diagram, _spine(xpath, tl, i), _spine(ypath, tl, j)):
+            if diagram.may_alias(_spine(xpath, tl, i), _spine(ypath, tl, j)):
                 return False
     return True
 
@@ -205,7 +201,7 @@ def check_pairwise_heads(diagram, x, y, hd, tl, k, scope=None):
                 continue
             a = _spine(xpath, tl, i) + (hd,)
             b = _spine(ypath, tl, j) + (hd,)
-            if _meets(diagram, a, b):
+            if diagram.may_alias(a, b):
                 return False
     return True
 
@@ -219,7 +215,7 @@ def check_fully_unaliased(diagram, y, hd, tl, k, scope=None):
     family += [_spine(ypath, tl, i) + (hd,) for i in range(k + 1)]
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
-            if _meets(diagram, a, b):
+            if diagram.may_alias(a, b):
                 return False
     return True
 
@@ -269,7 +265,6 @@ class AnalysisReport:
     points: List[Tuple[str, List[Tuple[str, str]]]]
     final_pairs: List[Tuple[str, str]]
     diagnostics: List[str]
-    elapsed: float = 0.0
 
     def to_dict(self):
         return {
@@ -297,7 +292,6 @@ def build_report(engine):
         points=points,
         final_pairs=final_pairs,
         diagnostics=[d.render() for d in engine.diagnostics],
-        elapsed=engine.elapsed,
     )
 
 

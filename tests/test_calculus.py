@@ -192,6 +192,10 @@ def test_loop_iteration_ceiling_reports_an_error():
     )
     e = run(src, max_iters=2)
     assert any("exceeded" in d.message for d in e.diagnostics if d.severity == "error")
+    # l steps to u's object, v's, then Void, and the fourth pass
+    # repeats the third's state: four is the least ceiling that converges
+    assert run(src, max_iters=3).has_errors()
+    assert not run(src, max_iters=4).has_errors()
 
 
 def test_creation_in_a_loop_is_capped_per_site():
@@ -436,6 +440,24 @@ main local a: C y: C do create a y := grow (a) end
     e = run(src)
     assert not e.has_errors()
     assert len(e.diagram.nodes) < 60  # bounded, not one node per unrolling
+
+
+RING_OF_ONE = """class C feature
+  n: C
+  f0 (a: C): C do then Result := a else Result := f0 (a.n) end end
+  run local x0: C x1: C y: C do
+    create x0 create x1 x0.n := x1 x1.n := x0 y := f0 (x0)
+  end
+end
+"""
+
+
+def test_recursion_fixpoint_ceiling_reports_an_error():
+    e = run(RING_OF_ONE, entry="C.run", max_iters=2)
+    assert [(d.severity, d.message, str(d.pos)) for d in e.diagnostics] == [
+        ("error", "recursion fixpoint for 'f0' exceeded 2 iterations", "3:3"),
+    ]
+    assert run(RING_OF_ONE, entry="C.run", max_iters=3).diagnostics == []
 
 
 def test_list_copy_recursion_full_shape():

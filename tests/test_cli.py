@@ -143,6 +143,14 @@ def test_json_to_stdout_is_pipe_clean(tmp_path, capsys):
     assert "alias pairs" in captured.err
 
 
+def test_json_and_dot_cannot_share_stdout(tmp_path, capsys):
+    rc = main(["analyze", write(tmp_path, "ok.oo", CLEAN_SRC), "--json", "-", "--dot", "-"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "cannot both write to stdout" in captured.err
+
+
 def test_dot_output(tmp_path, capsys):
     src_path = write(tmp_path, "ok.oo", CLEAN_SRC)
     out = tmp_path / "g.dot"

@@ -14,13 +14,11 @@ from aliasgraph.lang import (
     If,
     Loop,
     ParseError,
-    ast_key,
     build_expr_universe,
     desugar_conditional,
     negate_cond,
     parse_program,
     resolve,
-    to_source,
     ClassTable,
 )
 
@@ -186,33 +184,6 @@ def test_negation_folds_instead_of_stacking():
     assert isinstance(negate_cond(eq), CondNeq)
     assert negate_cond(negate_cond(eq)) is not None
     assert isinstance(negate_cond(CondNot(eq)), CondEq)
-
-
-# -- round-trip ----------------------------------------------------------------
-
-
-def test_pretty_print_round_trip():
-    prog = parse_program(LIST_COPY)
-    again = parse_program(to_source(prog))
-    assert ast_key(prog) == ast_key(again)
-
-
-def test_round_trip_covers_choice_loop_and_calls():
-    text = """
-    class A inherit B redefine f end feature
-      f (v: A) do
-        then create x else x := v end
-        loop x := x.y until x = Void end
-        Current.f (Void)
-      end
-      x: A
-      y: A
-    end
-    class B feature f (v: A) do skip end x: A y: A end
-    """
-    prog = parse_program(text)
-    again = parse_program(to_source(prog))
-    assert ast_key(prog) == ast_key(again)
 
 
 # -- static checks ---------------------------------------------------------------

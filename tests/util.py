@@ -87,11 +87,11 @@ def build(roots, edges):
     """Expected-diagram builder with explicit node ids."""
     d = AliasDiagram()
     for n in roots:
-        d.include(n)
+        d.ensure_node(n)
         d.roots.add(n)
     for lbl, s, t in edges:
-        d.include(s)
-        d.include(t)
+        d.ensure_node(s)
+        d.ensure_node(t)
         d.add_edge(Label(lbl), s, t)
     return d
 
