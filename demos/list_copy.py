@@ -61,9 +61,9 @@ def main():
     print("  some world keeps X and Y fully apart: %s" % ("yes" if report["no_share_root"] else "no"))
     print("  checked in %.1f ms" % (elapsed * 1000))
     print()
-    for q in ("alias(Y)", "alias(Y.tl)", "alias(X.hd)"):
+    for q in ("Y", "Y.tl", "X.hd"):
         hits = query_alias(engine, AliasQuery(q))
-        print("  %s = {%s}" % (q, ", ".join(hits) if hits else ""))
+        print("  alias(%s) = {%s}" % (q, ", ".join(sorted(hits))))
 
 
 if __name__ == "__main__":

@@ -45,9 +45,9 @@ dirty frame's own body finishes, it is re-analyzed to a fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from aliasgraph.diagram import AliasDiagram, Edge, Label, NodeId
+from aliasgraph.diagram import AliasDiagram, Edge, Label, NodeId, label_path
 from aliasgraph.lang import (
     Assign,
     CallExpr,
@@ -55,18 +55,12 @@ from aliasgraph.lang import (
     Choice,
     ClassTable,
     Compound,
-    CondEq,
-    CondNeq,
-    CondNot,
     Create,
     Diagnostic,
-    Guard,
-    If,
     Loop,
     Program,
     RoutineDecl,
     build_expr_universe,
-    desugar_conditional,
 )
 
 # three-valued condition verdicts
@@ -137,10 +131,14 @@ class _Frame:
     context_key: tuple
     act: int
     targets: FrozenSet[NodeId]
-    scope: Dict[str, Label]
     actual_paths: List[Optional[Tuple[Label, ...]]]
     acc: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
     dirty: bool = False
+    # the routine's own names, tagged with this activation
+    scope: Dict[str, Label] = field(init=False)
+
+    def __post_init__(self):
+        self.scope = {name: Label(name, self.act) for name in self.version.var_types()}
 
 
 class Engine:
@@ -162,8 +160,6 @@ class Engine:
         self.lineage: Dict[NodeId, Tuple[NodeId, FrozenSet[Tuple[int, int]]]] = {}
         self.closed_acts: Set[int] = set()
         self._next_act = 0
-        self._desugared: Dict[int, Choice] = {}
-        self._var_types: Dict[int, Dict[str, str]] = {}
         self.entry_name: Optional[str] = None
         self.entry_frame: Optional[_Frame] = None
 
@@ -202,28 +198,11 @@ class Engine:
     # name resolution at analysis time
     # ------------------------------------------------------------------
 
-    def _types_for(self, routine):
-        key = id(routine)
-        if key not in self._var_types:
-            types = {n: t for n, t in routine.formals}
-            types.update(routine.locals)
-            if routine.result_type is not None:
-                types["Result"] = routine.result_type
-            self._var_types[key] = types
-        return self._var_types[key]
-
-    def _path_labels(self, names, frame):
-        if not names:
-            return ()
-        head = frame.scope.get(names[0], Label(names[0]))
-        return (head,) + tuple(Label(s) for s in names[1:])
-
     def _static_type(self, names, frame):
         routine = frame.version
-        types = self._types_for(routine)
         if not names:
             return routine.owner
-        t = types.get(names[0])
+        t = routine.var_types().get(names[0])
         if t is None and routine.owner is not None:
             t = self.table.find_attr(routine.owner, names[0])
         for seg in names[1:]:
@@ -237,24 +216,9 @@ class Engine:
     # ------------------------------------------------------------------
 
     def eval_cond(self, cond, frame):
-        if isinstance(cond, CondNot):
-            inner = self.eval_cond(cond.inner, frame)
-            if inner == TRUE:
-                return FALSE
-            if inner == FALSE:
-                return TRUE
-            return UNKNOWN
-        left, right = cond.left, cond.right
-        if isinstance(cond, CondEq):
-            verdict = self._eval_eq(left, right, frame)
-        else:
-            assert isinstance(cond, CondNeq)
-            verdict = self._eval_eq(left, right, frame)
-            if verdict == TRUE:
-                return FALSE
-            if verdict == FALSE:
-                return TRUE
-            return UNKNOWN
+        verdict = self._eval_eq(cond.left, cond.right, frame)
+        if cond.negated and verdict != UNKNOWN:
+            return FALSE if verdict == TRUE else TRUE
         return verdict
 
     def _eval_eq(self, left, right, frame):
@@ -263,10 +227,10 @@ class Engine:
             return TRUE
         if left is None or right is None:
             path = right if left is None else left
-            vals = self.diagram.value_set(self._path_labels(path, frame))
+            vals = self.diagram.value_set(label_path(path, frame.scope))
             return TRUE if not vals else UNKNOWN
-        lv = self.diagram.value_set(self._path_labels(left, frame))
-        rv = self.diagram.value_set(self._path_labels(right, frame))
+        lv = self.diagram.value_set(label_path(left, frame.scope))
+        rv = self.diagram.value_set(label_path(right, frame.scope))
         if lv and rv and not (lv & rv):
             # over-approximated value sets that cannot meet prove the
             # objects differ; emptiness on either side proves nothing
@@ -285,16 +249,8 @@ class Engine:
             self.apply_create(instr, frame)
         elif isinstance(instr, Compound):
             self.apply_compound(instr, frame)
-        elif isinstance(instr, If):
-            choice = self._desugared.get(id(instr))
-            if choice is None:
-                choice = desugar_conditional(instr)
-                self._desugared[id(instr)] = choice
-            self.apply_choice(choice, frame)
         elif isinstance(instr, Choice):
             self.apply_choice(instr, frame)
-        elif isinstance(instr, Guard):
-            self.apply_guard(instr, frame)
         elif isinstance(instr, Loop):
             self.apply_loop(instr, frame)
         elif isinstance(instr, CallInstr):
@@ -324,7 +280,7 @@ class Engine:
         if instr.source is None:
             per_root = {r: frozenset() for r in self.diagram.roots}
         else:
-            src = self._path_labels(instr.source, frame)
+            src = label_path(instr.source, frame.scope)
             self._check_void_prefix(instr.source, src, instr.pos)
             per_root = self.diagram.value_sets_by_root(src)
         self._relink_target(instr.target, per_root, frame, instr.pos)
@@ -342,7 +298,7 @@ class Engine:
                 return
 
     def _relink_target(self, target_names, per_root_vals, frame, pos):
-        labels = self._path_labels(target_names, frame)
+        labels = label_path(target_names, frame.scope)
         if len(labels) == 1:
             lbl = labels[0]
             for r in sorted(self.diagram.roots):
@@ -496,26 +452,21 @@ class Engine:
         return node
 
     # ------------------------------------------------------------------
-    # guards and choices
+    # choices
     # ------------------------------------------------------------------
 
-    def apply_guard(self, instr, frame):
-        if self.eval_cond(instr.cond, frame) == FALSE:
-            return
-        self.apply_compound(instr.body, frame)
-
     def apply_choice(self, instr, frame):
-        live: List[Callable[[], None]] = []
-        for branch in instr.branches:
-            if isinstance(branch, Guard) and self.eval_cond(branch.cond, frame) == FALSE:
-                continue
-            live.append((lambda b=branch: self.exec_instr(b, frame)))
-        self._run_branches(id(instr), live, instr.pos)
+        # guards are evaluated once, against the state before the choice
+        live = [
+            (lambda body=body: self.apply_compound(body, frame))
+            for cond, body in instr.branches
+            if cond is None or self.eval_cond(cond, frame) != FALSE
+        ]
+        self._run_branches(id(instr), live)
 
-    def _run_branches(self, site, live, pos):
-        if not live:
-            self._diag("note", "all branches are definitely skipped; state unchanged", pos)
-            return
+    def _run_branches(self, site, live):
+        # never empty: an if's else guard negates its last condition, so
+        # one of the two is live, and dispatch has at least one version
         if len(live) == 1:
             live[0]()
             return
@@ -727,11 +678,7 @@ class Engine:
     def _run_call(self, call, frame, assign_target, pos=None):
         pos = pos or call.pos
         if call.target is None:
-            version = None
-            if frame.version.owner is not None:
-                version = self.table.find_routine(frame.version.owner, call.name)
-            if version is None:
-                version = self.program.routines.get(call.name)
+            version = self.table.find_callee(frame.version.owner, call.name)
             if version is None:
                 self._diag("error", "unknown routine %r" % call.name, pos)
                 return
@@ -748,7 +695,7 @@ class Engine:
             if a is None:
                 paths.append(None)
             else:
-                labels = self._path_labels(a, frame)
+                labels = label_path(a, frame.scope)
                 self._check_void_prefix(a, labels, pos)
                 paths.append(labels)
         return paths
@@ -767,10 +714,10 @@ class Engine:
             (lambda v=v: self._qualified_one(v, call, frame, assign_target, pos))
             for v in versions
         ]
-        self._run_branches(id(call), thunks, pos)
+        self._run_branches(id(call), thunks)
 
     def _qualified_one(self, version, call, frame, assign_target, pos):
-        target_labels = self._path_labels(call.target, frame)
+        target_labels = label_path(call.target, frame.scope)
         self._check_void_prefix(call.target, target_labels, pos)
         owners_by_root = self.diagram.value_sets_by_root(target_labels)
         callee_roots = set()
@@ -827,16 +774,11 @@ class Engine:
 
         self._next_act += 1
         act = self._next_act
-        scope = {name: Label(name, act) for name in version.formal_names()}
-        scope.update({name: Label(name, act) for name in version.locals})
-        if version.is_function():
-            scope["Result"] = Label("Result", act)
         new_frame = _Frame(
             version=version,
             context_key=context_key,
             act=act,
             targets=targets,
-            scope=scope,
             actual_paths=list(actual_paths),
         )
         self.call_stack.append(new_frame)
@@ -923,16 +865,11 @@ class Engine:
         version = self._find_entry(entry_name)
         self.entry_name = entry_name
         root = self.diagram.add_root()
-        scope = {name: Label(name, 0) for name in version.formal_names()}
-        scope.update({name: Label(name, 0) for name in version.locals})
-        if version.is_function():
-            scope["Result"] = Label("Result", 0)
         frame = _Frame(
             version=version,
             context_key=(id(version), frozenset({root}), ()),
             act=0,
             targets=frozenset({root}),
-            scope=scope,
             actual_paths=[],
         )
         if version.formals:

@@ -11,8 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional
 
 from aliasgraph.calculus import AnalysisConfig, AnalysisError, Engine
 from aliasgraph.lang import ParseError, parse_file, resolve
@@ -25,20 +23,6 @@ from aliasgraph.query import (
     emit_json,
     query_alias,
 )
-
-
-@dataclass
-class RunConfig:
-    inputs: List[str]
-    entry: str = "main"
-    cap: int = 1
-    max_iters: int = 1000
-    points: bool = False
-    at: Optional[str] = None
-    queries: List[str] = field(default_factory=list)
-    deutsch: bool = False
-    json_path: Optional[str] = None
-    dot_path: Optional[str] = None
 
 
 def _color_on():
@@ -64,8 +48,9 @@ def _print_diagnostics(diags):
         print(_paint(d.render(), _SEVERITY_COLORS.get(d.severity, "0")), file=sys.stderr)
 
 
-def _load(path, config):
-    """Parse, resolve, analyze. Returns (engine, exit_code)."""
+def _load(path, entry, config):
+    """Parse, resolve, analyze from the named entry under an
+    AnalysisConfig. Returns (engine, exit_code)."""
     try:
         program = parse_file(path)
     except OSError as exc:
@@ -78,32 +63,30 @@ def _load(path, config):
     _print_diagnostics(static)
     if any(d.severity == "error" for d in static):
         return None, 2
-    engine = Engine(
-        program,
-        AnalysisConfig(
-            cap=config.cap,
-            max_iters=config.max_iters,
-            record_points=bool(config.points or config.at or config.deutsch),
-        ),
-    )
+    engine = Engine(program, config)
     try:
-        engine.analyze(config.entry)
+        engine.analyze(entry)
     except AnalysisError as exc:
         print(_paint(str(exc), "31"), file=sys.stderr)
         return None, 2
     return engine, 0
 
 
-def run(config) -> int:
-    """The `analyze` command."""
-    engine, rc = _load(config.inputs[0], config)
+def run(args) -> int:
+    """The `analyze` command, on the parsed command line."""
+    config = AnalysisConfig(
+        cap=args.cap,
+        max_iters=args.max_iters,
+        record_points=bool(args.points or args.at or args.deutsch),
+    )
+    engine, rc = _load(args.file, args.entry, config)
     if rc:
         return rc
     report = build_report(engine)
     # keep stdout clean for piping when a machine report claims it
-    out = sys.stderr if "-" in (config.json_path, config.dot_path) else sys.stdout
+    out = sys.stderr if "-" in (args.json, args.dot) else sys.stdout
 
-    if config.deutsch:
+    if args.deutsch:
         try:
             props = deutsch_report(engine, k=3)
         except QueryError as exc:
@@ -120,33 +103,33 @@ def run(config) -> int:
     print("entry: %s" % report.entry, file=out)
     shown = report.final_pairs
     where = "final"
-    if config.at is not None:
+    if args.at is not None:
         by_label = dict(report.points)
-        if config.at not in by_label:
-            print(_paint("unknown program point %r" % config.at, "31"), file=sys.stderr)
+        if args.at not in by_label:
+            print(_paint("unknown program point %r" % args.at, "31"), file=sys.stderr)
             return 1
-        shown = by_label[config.at]
-        where = "at %s" % config.at
+        shown = by_label[args.at]
+        where = "at %s" % args.at
     print("alias pairs (%s):" % where, file=out)
     for p, q in shown:
         print("  %s ~ %s" % (p, q), file=out)
 
-    for qtext in config.queries:
+    for qtext in args.query:
         try:
-            answers = query_alias(engine, AliasQuery(qtext, at=config.at))
+            answers = query_alias(engine, AliasQuery(qtext, at=args.at))
         except QueryError as exc:
             print(_paint(str(exc), "31"), file=sys.stderr)
             return 1
         print("alias(%s) = {%s}" % (qtext, ", ".join(sorted(answers))), file=out)
 
-    if config.json_path:
-        _write(config.json_path, emit_json(report))
-    if config.dot_path:
-        if config.at is not None:
-            diagram, scope = engine.snapshots[config.at]
+    if args.json:
+        _write(args.json, emit_json(report))
+    if args.dot:
+        if args.at is not None:
+            diagram, scope = engine.snapshots[args.at]
         else:
             diagram, scope = engine.diagram, engine.report_scope()
-        _write(config.dot_path, emit_dot(diagram, scope))
+        _write(args.dot, emit_dot(diagram, scope))
 
     _print_diagnostics(engine.diagnostics)
     return 1 if engine.has_errors() else 0
@@ -169,9 +152,9 @@ def _pairs_as_sets(doc):
     return out
 
 
-def run_corpus(config) -> int:
+def run_corpus(args) -> int:
     """The `corpus` command: .oo files vs adjacent .expected.json."""
-    root = config.inputs[0]
+    root = args.dir
     if not os.path.isdir(root):
         print(_paint("not a directory: %s" % root, "31"), file=sys.stderr)
         return 2
@@ -186,14 +169,8 @@ def run_corpus(config) -> int:
             continue
         with open(want_path, "r", encoding="utf-8") as fh:
             want_doc = json.load(fh)
-        file_config = RunConfig(
-            inputs=[oo_path],
-            entry=want_doc.get("entry", config.entry),
-            cap=config.cap,
-            max_iters=config.max_iters,
-            points=True,
-        )
-        engine, rc = _load(oo_path, file_config)
+        config = AnalysisConfig(cap=args.cap, max_iters=args.max_iters, record_points=True)
+        engine, rc = _load(oo_path, want_doc.get("entry", args.entry), config)
         if rc:
             print(_paint("FAIL %s (did not analyze)" % name, "31"))
             failed += 1
@@ -261,26 +238,8 @@ def main(argv=None) -> int:
         if args.json == "-" and args.dot == "-":
             print("--json and --dot cannot both write to stdout", file=sys.stderr)
             return 2
-        config = RunConfig(
-            inputs=[args.file],
-            entry=args.entry,
-            cap=args.cap,
-            max_iters=args.max_iters,
-            points=args.points,
-            at=args.at,
-            queries=args.query,
-            deutsch=args.deutsch,
-            json_path=args.json,
-            dot_path=args.dot,
-        )
-        return run(config)
-    config = RunConfig(
-        inputs=[args.dir],
-        entry=args.entry,
-        cap=args.cap,
-        max_iters=args.max_iters,
-    )
-    return run_corpus(config)
+        return run(args)
+    return run_corpus(args)
 
 
 if __name__ == "__main__":

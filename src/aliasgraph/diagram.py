@@ -381,5 +381,15 @@ def parse_name_path(text: str) -> NamePath:
     return tuple(parts)
 
 
+def label_path(names: Sequence[str], scope: Optional[Mapping[str, Label]] = None) -> Tuple[Label, ...]:
+    """The label path a name path denotes.  The head resolves through
+    ``scope`` (a routine's names, tagged with its activation); a head the
+    scope lacks, and every later name, is a field of the current object."""
+    if not names:
+        return ()
+    head = scope.get(names[0], Label(names[0])) if scope else Label(names[0])
+    return (head,) + tuple(Label(s) for s in names[1:])
+
+
 def format_name_path(path: Sequence[str]) -> str:
     return ".".join(path) if path else "Current"

@@ -28,6 +28,10 @@ Concrete grammar (keyword-driven; newlines and ';' are insignificant):
     path      ::=  NAME {"." NAME}           -- Current allowed as first name
     call      ::=  path ["(" [operand {"," operand}] ")"]
 
+Branching has one form.  An `if` parses into a `Choice` of guarded
+branches, (condition, body) pairs: each arm keeps its own condition, and
+the else (an empty body when absent) is guarded by the negation of the
+last condition.  A free choice is the same node with every guard None.
 Top-level routines (outside any class) are allowed; they form the implicit
 program scope that `--entry` can name directly.  Loop exit conditions are
 parsed but deliberately ignored by the analysis (a warning says so).
@@ -38,10 +42,10 @@ inside paths is a syntax error by construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
-from aliasgraph.diagram import ExprUniverse, NamePath, parse_name_path
+from aliasgraph.diagram import ExprUniverse, NamePath
 
 KEYWORDS = {
     "class", "inherit", "redefine", "feature", "end", "do", "local",
@@ -158,24 +162,9 @@ class Compound:
 
 
 @dataclass
-class Guard:
-    cond: "Cond"
-    body: Compound
-    pos: Optional[Pos] = None
-    point: Optional[str] = None
-
-
-@dataclass
 class Choice:
-    branches: List["Instr"]  # each a Compound or a Guard
-    pos: Optional[Pos] = None
-    point: Optional[str] = None
-
-
-@dataclass
-class If:
-    arms: List[Tuple["Cond", Compound]]
-    else_body: Optional[Compound]
+    # (guard, body) pairs; a None guard never blocks its branch
+    branches: List[Tuple[Optional["Cond"], Compound]]
     pos: Optional[Pos] = None
     point: Optional[str] = None
 
@@ -195,30 +184,18 @@ class CallInstr:
     point: Optional[str] = None
 
 
-Instr = Union[Assign, Create, Compound, Guard, Choice, If, Loop, CallInstr]
+Instr = Union[Assign, Create, Compound, Choice, Loop, CallInstr]
 
 
 @dataclass
-class CondEq:
+class Cond:
+    """``left = right``, or its negation when ``negated`` is set ("/="
+    and each "not" flip it)."""
+
     left: Operand
     right: Operand
+    negated: bool = False
     pos: Optional[Pos] = None
-
-
-@dataclass
-class CondNeq:
-    left: Operand
-    right: Operand
-    pos: Optional[Pos] = None
-
-
-@dataclass
-class CondNot:
-    inner: "Cond"
-    pos: Optional[Pos] = None
-
-
-Cond = Union[CondEq, CondNeq, CondNot]
 
 
 @dataclass
@@ -236,6 +213,15 @@ class RoutineDecl:
 
     def formal_names(self):
         return [n for n, _ in self.formals]
+
+    def var_types(self):
+        """Declared type of every formal, local and Result; a local that
+        collides with a formal wins."""
+        types = dict(self.formals)
+        types.update(self.locals)
+        if self.result_type is not None:
+            types["Result"] = self.result_type
+        return types
 
 
 @dataclass
@@ -485,36 +471,42 @@ class _Parser:
             return "Result"
         raise self.fail("expected a variable name after 'create'")
 
+    # -- "if" parses straight into a choice of guarded branches.  Each
+    # arm keeps its own condition only, and the else (a skip when absent)
+    # is guarded by the negation of the last one.  Dropping the earlier
+    # arms' negations from later guards can only add executions, which
+    # is safe for a may-analysis.
+
     def parse_if(self):
         pos = self.expect("if").pos
-        arms = []
         cond = self.parse_cond()
         self.expect("then")
-        arms.append((cond, self.parse_body(("elseif", "else", "end"))))
+        branches = [(cond, self.parse_body(("elseif", "else", "end")))]
         while self.at("elseif"):
             self.advance()
             cond = self.parse_cond()
             self.expect("then")
-            arms.append((cond, self.parse_body(("elseif", "else", "end"))))
-        else_body = None
+            branches.append((cond, self.parse_body(("elseif", "else", "end"))))
+        else_body = Compound(pos=pos)
         if self.at("else"):
             self.advance()
             else_body = self.parse_body(("end",))
         self.expect("end", "closing the if")
-        return If(arms=arms, else_body=else_body, pos=pos)
+        branches.append((replace(cond, negated=not cond.negated), else_body))
+        return Choice(branches=branches, pos=pos)
 
     # -- "then" body {"else" body} "end": free (condition-less) choice
 
     def parse_choice(self):
         pos = self.expect("then").pos
-        branches = [self.parse_body(("else", "end"))]
+        branches = [(None, self.parse_body(("else", "end")))]
         while self.at("else"):
             self.advance()
-            branches.append(self.parse_body(("else", "end")))
+            branches.append((None, self.parse_body(("else", "end"))))
         self.expect("end", "closing the choice")
         if len(branches) < 2:
             raise ParseError(Diagnostic("error", "a choice needs at least two branches", pos, self.source))
-        return Choice(branches=list(branches), pos=pos)
+        return Choice(branches=branches, pos=pos)
 
     def parse_loop(self):
         pos = self.expect("loop").pos
@@ -568,16 +560,14 @@ class _Parser:
 
     def parse_cond(self):
         if self.at("not"):
-            pos = self.advance().pos
-            return CondNot(inner=self.parse_cond(), pos=pos)
+            self.advance()
+            inner = self.parse_cond()
+            return replace(inner, negated=not inner.negated)
         pos = self.tok.pos
         left = self.parse_operand()
-        if self.at("="):
-            self.advance()
-            return CondEq(left=left, right=self.parse_operand(), pos=pos)
-        if self.tok.kind == "neq":
-            self.advance()
-            return CondNeq(left=left, right=self.parse_operand(), pos=pos)
+        if self.at("=") or self.tok.kind == "neq":
+            negated = self.advance().kind == "neq"
+            return Cond(left=left, right=self.parse_operand(), negated=negated, pos=pos)
         raise self.fail("expected '=' or '/=' in a condition")
 
 
@@ -590,38 +580,6 @@ def parse_program(text, source="<input>"):
 def parse_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_program(fh.read(), source=str(path))
-
-
-# ---------------------------------------------------------------------------
-# Conditional desugaring
-# ---------------------------------------------------------------------------
-
-
-def negate_cond(cond):
-    # fold double negation and =//= flips instead of stacking Not nodes
-    if isinstance(cond, CondNot):
-        return cond.inner
-    if isinstance(cond, CondEq):
-        return CondNeq(left=cond.left, right=cond.right, pos=cond.pos)
-    if isinstance(cond, CondNeq):
-        return CondEq(left=cond.left, right=cond.right, pos=cond.pos)
-    return CondNot(inner=cond, pos=getattr(cond, "pos", None))
-
-
-def desugar_conditional(node):
-    """Turn an If into the choice-of-guarded-branches form.
-
-    Each arm keeps its own condition only; a missing else becomes a
-    guarded skip under the negation of the last condition.  Dropping the
-    earlier arms' negations from later guards can only add executions,
-    which is safe for a may-analysis.
-    """
-    assert isinstance(node, If)
-    branches = [Guard(cond=c, body=b, pos=b.pos) for c, b in node.arms]
-    last_cond = node.arms[-1][0]
-    else_body = node.else_body if node.else_body is not None else Compound(pos=node.pos)
-    branches.append(Guard(cond=negate_cond(last_cond), body=else_body, pos=else_body.pos))
-    return Choice(branches=list(branches), pos=node.pos, point=node.point)
 
 
 # ---------------------------------------------------------------------------
@@ -688,26 +646,24 @@ class ClassTable:
                 versions.append(decl.routines[rname])
         return versions
 
+    def find_callee(self, owner, rname):
+        """The routine an unqualified call from a routine of class owner
+        (None at top level) names: the class's own, possibly inherited,
+        version, else the top-level routine of that name."""
+        version = self.find_routine(owner, rname)
+        if version is None:
+            version = self.program.routines.get(rname)
+        return version
+
 
 def _walk_instrs(body):
     for instr in body.instrs:
         yield instr
         if isinstance(instr, Compound):
             yield from _walk_instrs(instr)
-        elif isinstance(instr, Guard):
-            yield from _walk_instrs(instr.body)
         elif isinstance(instr, Choice):
-            for b in instr.branches:
-                if isinstance(b, Guard):
-                    yield b
-                    yield from _walk_instrs(b.body)
-                else:
-                    yield from _walk_instrs(b)
-        elif isinstance(instr, If):
-            for _, b in instr.arms:
+            for _, b in instr.branches:
                 yield from _walk_instrs(b)
-            if instr.else_body is not None:
-                yield from _walk_instrs(instr.else_body)
         elif isinstance(instr, Loop):
             yield from _walk_instrs(instr.body)
 
@@ -735,11 +691,18 @@ class Resolver:
         self.table = ClassTable(program)
         self.diagnostics = []
 
+    def _report(self, severity, message, pos):
+        # once per (severity, message, pos): an if's else guard repeats
+        # its last condition, and a path can be checked more than once
+        d = Diagnostic(severity, message, pos, self.program.source)
+        if d not in self.diagnostics:
+            self.diagnostics.append(d)
+
     def error(self, message, pos=None):
-        self.diagnostics.append(Diagnostic("error", message, pos, self.program.source))
+        self._report("error", message, pos)
 
     def warning(self, message, pos=None):
-        self.diagnostics.append(Diagnostic("warning", message, pos, self.program.source))
+        self._report("warning", message, pos)
 
     def run(self):
         self.check_inheritance()
@@ -768,25 +731,16 @@ class Resolver:
 
     # -- per-routine checks
 
-    def var_types(self, routine):
-        types = {}
-        for n, t in routine.formals:
-            types[n] = t
-        for n, t in routine.locals.items():
-            if n in types:
+    def check_routine(self, routine):
+        types = routine.var_types()
+        formals = set(routine.formal_names())
+        for n in routine.locals:
+            if n in formals:
                 self.error("local %r of %r collides with a formal" % (n, routine.name), routine.pos)
-            types[n] = t
-        if routine.result_type is not None:
-            types["Result"] = routine.result_type
         if routine.owner is not None:
             for n in types:
                 if n != "Result" and self.table.find_attr(routine.owner, n) is not None:
                     self.error("%r in routine %r hides an attribute of class %r" % (n, routine.name, routine.owner), routine.pos)
-        return types
-
-    def check_routine(self, routine):
-        types = self.var_types(routine)
-        formals = set(routine.formal_names())
         points = set()
         for instr in _walk_instrs(routine.body):
             if instr.point is not None:
@@ -808,10 +762,10 @@ class Resolver:
                 self.error("cannot create into formal %r" % name, instr.pos)
             elif name not in types and (routine.owner is None or self.table.find_attr(routine.owner, name) is None):
                 self.error("unknown variable %r in create" % name, instr.pos)
-        elif isinstance(instr, (If, Guard)):
-            conds = [c for c, _ in instr.arms] if isinstance(instr, If) else [instr.cond]
-            for c in conds:
-                self.check_cond(c, routine, types)
+        elif isinstance(instr, Choice):
+            for c, _ in instr.branches:
+                if c is not None:
+                    self.check_cond(c, routine, types)
         elif isinstance(instr, Loop):
             if instr.until is not None:
                 self.warning("loop exit condition is ignored by the analysis", instr.pos)
@@ -820,9 +774,6 @@ class Resolver:
             self.check_call(instr.call, routine, types)
 
     def check_cond(self, cond, routine, types):
-        if isinstance(cond, CondNot):
-            self.check_cond(cond.inner, routine, types)
-            return
         for side in (cond.left, cond.right):
             if side is not None:
                 self.check_path(side, routine, types, cond.pos)
@@ -866,11 +817,7 @@ class Resolver:
 
     def check_call(self, call, routine, types):
         if call.target is None:
-            version = None
-            if routine.owner is not None:
-                version = self.table.find_routine(routine.owner, call.name)
-            if version is None:
-                version = self.program.routines.get(call.name)
+            version = self.table.find_callee(routine.owner, call.name)
             if version is None:
                 self.error("unknown routine %r" % call.name, call.pos)
         else:
@@ -918,11 +865,8 @@ def build_expr_universe(program):
             add(op)
 
     def add_cond(cond):
-        if isinstance(cond, CondNot):
-            add_cond(cond.inner)
-        else:
-            add_operand(cond.left)
-            add_operand(cond.right)
+        add_operand(cond.left)
+        add_operand(cond.right)
 
     def add_call(call):
         if call.target is not None:
@@ -940,10 +884,10 @@ def build_expr_universe(program):
                     add_operand(instr.source)
             elif isinstance(instr, Create):
                 add((instr.target,))
-            elif isinstance(instr, (If, Guard)):
-                conds = [c for c, _ in instr.arms] if isinstance(instr, If) else [instr.cond]
-                for c in conds:
-                    add_cond(c)
+            elif isinstance(instr, Choice):
+                for c, _ in instr.branches:
+                    if c is not None:
+                        add_cond(c)
             elif isinstance(instr, Loop):
                 if instr.until is not None:
                     add_cond(instr.until)

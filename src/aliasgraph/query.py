@@ -8,37 +8,38 @@ value sets, and render the answers (JSON document, DOT drawing).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from aliasgraph.diagram import Label, format_name_path, parse_name_path
+from aliasgraph.diagram import Label, format_name_path, label_path, parse_name_path
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class QueryError(Exception):
-    """Raised for queries that cannot be answered (unknown point)."""
+    """Raised for queries that cannot be answered (unknown point, or a
+    query text that is not a dotted path of names)."""
 
 
 @dataclass
 class AliasQuery:
-    path: str
+    path: str  # a dotted path of names, such as "a.n" or "Current"
     at: Optional[str] = None  # program point label; None = routine exit
     depth: Optional[int] = None  # also consider diagram paths up to here
 
     def __post_init__(self):
+        if not all(_NAME_RE.match(seg.strip()) for seg in self.path.split(".")):
+            raise QueryError("query %r is not a dotted path of names such as 'a.n'" % self.path)
         if self.depth is not None:
             assert self.depth >= len(parse_name_path(self.path)), (
                 "depth bound must cover the query path itself"
             )
 
 
-def resolve_path(expr, scope=None):
-    """Source-level 'a.b.c' (or name tuple) -> label path under scope."""
-    names = parse_name_path(expr) if isinstance(expr, str) else tuple(expr)
-    if not names:
-        return ()
-    scope = scope or {}
-    head = scope.get(names[0], Label(names[0]))
-    return (head,) + tuple(Label(s) for s in names[1:])
+def resolve_path(text, scope=None):
+    """Source-level 'a.b.c' -> label path under scope."""
+    return label_path(parse_name_path(text), scope)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +112,7 @@ def query_alias(engine, query: AliasQuery):
         text = format_name_path(np)
         if text == qtext:
             continue
-        if diagram.may_alias(qpath, resolve_path(np, scope)):
+        if diagram.may_alias(qpath, label_path(np, scope)):
             out.add(text)
     return out
 

@@ -145,6 +145,54 @@ def test_disjoint_nonempty_values_make_equality_definitely_false():
     assert values(e, "z") == frozenset()
 
 
+ELSEIF_SRC = EMPTY_CLASS + (
+    "main local a: C b: C c: C x: C y: C z: C do create a create b create c create y create z"
+    " if y = Void then x := a elseif %s then x := b else x := c end end"
+)
+
+
+@pytest.mark.parametrize("mode", ["replay", "clone"])
+def test_elseif_chain_keeps_one_world_per_live_arm(mode):
+    names = ["a", "b", "c", "x"]
+    # y and z are created, so "= Void" is unknown: every arm and the
+    # else (guarded by z /= Void) stay live, each in its own world
+    e = run(ELSEIF_SRC % "z = Void", choice_mode=mode)
+    assert len(e.diagram.roots) == 3
+    assert alias_pairs(e.diagram, e.report_scope(), names) == [("a", "x"), ("b", "x"), ("c", "x")]
+    # z and a are distinct objects: the middle arm is pruned, and the
+    # else, guarded by its negation, is definitely live
+    e = run(ELSEIF_SRC % "z = a", choice_mode=mode)
+    assert len(e.diagram.roots) == 2
+    assert alias_pairs(e.diagram, e.report_scope(), names) == [("a", "x"), ("c", "x")]
+
+
+def test_not_equal_and_not_equals_give_the_same_pairs():
+    src = EMPTY_CLASS + (
+        "main local a: C b: C x: C do create a create b then a := Void else skip end"
+        " if %s then x := a else x := b end end"
+    )
+    names = ["a", "b", "x"]
+    by_cond = {}
+    for cond in ("not a = Void", "a /= Void", "not not a /= Void"):
+        e = run(src % cond)
+        by_cond[cond] = (alias_pairs(e.diagram, e.report_scope(), names), e.diagram.canonical_form())
+    assert by_cond["not a = Void"] == by_cond["a /= Void"] == by_cond["not not a /= Void"]
+    assert by_cond["a /= Void"][0] == [("a", "x"), ("b", "x")]
+
+
+@pytest.mark.parametrize("mode", ["replay", "clone"])
+def test_definitely_false_single_arm_if_keeps_the_state(mode):
+    src = EMPTY_CLASS + "main local x: C y: C do create y x := Void %s end"
+    plain = run(src % "skip")
+    e = run(src % "if x /= Void then y := x end", choice_mode=mode)
+    assert e.diagram.canonical_form() == plain.diagram.canonical_form()
+    assert values(e, "y") != frozenset()
+    # the else guard (x = Void) is definitely true, so exactly one
+    # branch runs: no world is forked and no note is given
+    assert len(e.diagram.roots) == 1
+    assert e.diagnostics == []
+
+
 def test_guarded_branch_worlds_then_shared_update():
     e = run(
         EMPTY_CLASS

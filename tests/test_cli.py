@@ -184,6 +184,12 @@ def test_query_prints_alias_set(tmp_path, capsys):
     assert "alias(a) = {b}" in out
 
 
+def test_query_that_is_not_a_path_exits_one(tmp_path, capsys):
+    rc = main(["analyze", write(tmp_path, "deutsch.oo", DEUTSCH_SRC), "--query", "alias(Y)"])
+    assert rc == 1
+    assert "'alias(Y)' is not a dotted path" in capsys.readouterr().err
+
+
 def test_deutsch_flag_prints_and_embeds_properties(tmp_path, capsys):
     src_path = write(tmp_path, "deutsch.oo", DEUTSCH_SRC)
     out = tmp_path / "r.json"
@@ -291,3 +297,23 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "alias(b) = {a}" in proc.stdout
+
+
+@pytest.mark.parametrize("demo", ["list_copy.py", "worlds.py"])
+def test_demo_runs_to_completion(demo, tmp_path):
+    """Each script under demos/ runs in a child process and exits 0;
+    worlds.py also writes its DOT drawing to the path it is given."""
+    script = Path(__file__).resolve().parents[1] / "demos" / demo
+    pkg_root = str(Path(aliasgraph.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    dot = tmp_path / "worlds.dot"
+    args = [str(dot)] if demo == "worlds.py" else []
+    proc = subprocess.run(
+        [sys.executable, str(script)] + args,
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if args:
+        assert dot.read_text().startswith("digraph alias_diagram {")

@@ -6,17 +6,11 @@ from aliasgraph.lang import (
     CallInstr,
     Choice,
     Compound,
-    CondEq,
-    CondNeq,
-    CondNot,
+    Cond,
     Create,
-    Guard,
-    If,
     Loop,
     ParseError,
     build_expr_universe,
-    desugar_conditional,
-    negate_cond,
     parse_program,
     resolve,
     ClassTable,
@@ -86,7 +80,9 @@ def test_choice_syntax_and_branches():
     (choice,) = prog.routines["main"].body.instrs
     assert isinstance(choice, Choice)
     assert len(choice.branches) == 2
-    assert isinstance(choice.branches[0].instrs[0], Assign)
+    guard, body = choice.branches[0]
+    assert guard is None
+    assert isinstance(body.instrs[0], Assign)
 
 
 def test_choice_allows_more_than_two_branches():
@@ -105,7 +101,7 @@ def test_loop_with_until_is_parsed():
     prog = parse_program("main local l: LST do loop l := l until l = Void end end")
     (loop,) = prog.routines["main"].body.instrs
     assert isinstance(loop, Loop)
-    assert isinstance(loop.until, CondEq)
+    assert isinstance(loop.until, Cond) and not loop.until.negated
 
 
 def test_qualified_and_bare_call_statements():
@@ -146,20 +142,22 @@ def test_single_branch_choice_is_an_error():
 
 def test_if_else_desugars_to_two_guards():
     prog = parse_program("main local a, x: C do if a = Void then a := x else x := a end end class C feature end")
-    (cond,) = prog.routines["main"].body.instrs
-    choice = desugar_conditional(cond)
+    (choice,) = prog.routines["main"].body.instrs
     assert isinstance(choice, Choice) and len(choice.branches) == 2
-    g1, g2 = choice.branches
-    assert isinstance(g1, Guard) and isinstance(g1.cond, CondEq)
-    assert isinstance(g2, Guard) and isinstance(g2.cond, CondNeq)
+    (c1, b1), (c2, b2) = choice.branches
+    assert isinstance(c1, Cond) and not c1.negated
+    assert isinstance(c2, Cond) and c2.negated
+    assert (c1.left, c1.right) == (c2.left, c2.right) == (("a",), None)
+    assert isinstance(b1.instrs[0], Assign) and isinstance(b2.instrs[0], Assign)
 
 
 def test_if_without_else_gets_a_guarded_skip():
     prog = parse_program("main local a, x: C do if a = x then a := x end end class C feature end")
-    (cond,) = prog.routines["main"].body.instrs
-    choice = desugar_conditional(cond)
+    (choice,) = prog.routines["main"].body.instrs
     assert len(choice.branches) == 2
-    assert choice.branches[1].body.instrs == []
+    guard, body = choice.branches[1]
+    assert guard.negated
+    assert body.instrs == []
 
 
 def test_elseif_chain_desugars_to_three_guards():
@@ -171,19 +169,29 @@ def test_elseif_chain_desugars_to_three_guards():
     end
     class C feature end
     """
-    (cond,) = parse_program(text).routines["main"].body.instrs
-    choice = desugar_conditional(cond)
+    (choice,) = parse_program(text).routines["main"].body.instrs
     assert len(choice.branches) == 3
     # each arm keeps its own condition; the else negates the last one
-    assert isinstance(choice.branches[1].cond, CondEq)
-    assert isinstance(choice.branches[2].cond, CondNeq)
+    (c0, _), (c1, _), (c2, _) = choice.branches
+    assert c0.left == ("a",) and not c0.negated
+    assert c1.left == ("b",) and not c1.negated
+    assert c2.left == ("b",) and c2.negated
+
+
+def first_guard(cond_text):
+    prog = parse_program("main local a, b: C do if %s then skip end end class C feature end" % cond_text)
+    (choice,) = prog.routines["main"].body.instrs
+    cond = choice.branches[0][0]
+    return (cond.left, cond.right, cond.negated)
 
 
 def test_negation_folds_instead_of_stacking():
-    eq = CondEq(("a",), ("b",))
-    assert isinstance(negate_cond(eq), CondNeq)
-    assert negate_cond(negate_cond(eq)) is not None
-    assert isinstance(negate_cond(CondNot(eq)), CondEq)
+    eq = first_guard("a = b")
+    assert eq == (("a",), ("b",), False)
+    # "not" flips the one flag: it folds into /= and cancels itself
+    assert first_guard("not a = b") == first_guard("a /= b") == (("a",), ("b",), True)
+    assert first_guard("not not a = b") == eq
+    assert first_guard("not a /= b") == eq
 
 
 # -- static checks ---------------------------------------------------------------
@@ -213,6 +221,15 @@ def test_assigning_through_a_formal_is_fine():
 def test_unknown_names_are_reported():
     errs = diags("main do x := Void end")
     assert any("unknown name 'x'" in d.message for d in errs)
+
+
+def test_each_diagnostic_is_reported_once():
+    # both sides of the assignment name the undeclared x at one position
+    errs = resolve(parse_program("main do x.a := x.b end"))
+    assert [d.render() for d in errs] == ["<input>:1:9: error: unknown name 'x'"]
+    # an if's else guard repeats its last condition
+    errs = diags("main do if x = Void then skip elseif y = Void then skip end end")
+    assert [d.message for d in errs] == ["unknown name 'x'", "unknown name 'y'"]
 
 
 def test_opaque_types_are_fine_until_followed():

@@ -55,6 +55,18 @@ def test_query_unknown_point_is_an_error(copied_list):
         query_alias(copied_list, AliasQuery("t2", at="L99"))
 
 
+@pytest.mark.parametrize("text", ["alias(a.n)", "alias(Y)", "a..n", "", "a b", "a.n)"])
+def test_query_text_must_be_a_dotted_path(text):
+    with pytest.raises(QueryError):
+        AliasQuery(text)
+
+
+def test_dotted_query_text_is_accepted():
+    e = run("class C feature n: C end main local a: C b: C do create a create b a.n := b end")
+    assert query_alias(e, AliasQuery("a.n")) == {"b"}
+    assert query_alias(e, AliasQuery(" Current.a . n ")) == {"b"}
+
+
 def test_query_answers_are_symmetric_and_irreflexive():
     e = run(FLOW_SRC)
     for p in ["a", "b", "x"]:
