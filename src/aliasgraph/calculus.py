@@ -352,16 +352,6 @@ class Engine:
                 for v in sorted(vals):
                     self._add(attr, mine, copies.get(v, v))
 
-    def _reach(self, start):
-        seen = {start}
-        work = [start]
-        while work:
-            for _, t in self.diagram.out_edges(work.pop()):
-                if t not in seen:
-                    seen.add(t)
-                    work.append(t)
-        return seen
-
     def _privatize(self, owners, class_roots):
         """Give one group of roots private copies of the shared part of
         the region it is about to overwrite.
@@ -379,50 +369,54 @@ class Engine:
         outside the cone can point into it from the group's side, and
         every other root keeps the originals untouched.
 
+        Every path from a root into an owner runs through the owners'
+        ancestors, so both reaches are walked inside that set only.
+
         No copies are made while a fixpoint is running: a fresh copy per
         pass would keep the state from ever repeating, so the iteration
         could not close.  Contested owners are then all reported weak;
         edge growth is monotone over a fixed node supply and the
         iteration still terminates.
         """
-        reach_others = set()
-        for r in sorted(self.diagram.roots):
-            if r not in class_roots:
-                reach_others |= self._reach(r)
+        g = self.diagram
+        ancestors = g.ancestors(owners)
+        roots_outside = g.roots - set(class_roots)
+        reach_others = g.reach_within(roots_outside, ancestors)
         contested = {o for o in owners if o in reach_others}
         if not contested:
             return {}, frozenset()
-        forkable = {o for o in contested if o not in self.diagram.roots}
+        forkable = {o for o in contested if o not in g.roots}
         if self.fix_stack or not forkable:
             return {}, frozenset(contested)
-        reach_mine = set()
-        for r in sorted(class_roots):
-            reach_mine |= self._reach(r)
+        reach_mine = g.reach_within(class_roots, ancestors)
         cone = set(forkable)
-        grew = True
-        while grew:
-            grew = False
-            for (l, s, t) in self.diagram.edge_set():
-                if t in cone and s in reach_mine and s not in cone:
+        work = list(forkable)
+        while work:
+            for _, s in g.in_edges(work.pop()):
+                if s in reach_mine and s not in cone:
                     cone.add(s)
-                    grew = True
-        shared = {n for n in cone if n in reach_others and n not in self.diagram.roots}
+                    work.append(s)
+        shared = {n for n in cone if n in reach_others and n not in g.roots}
         copies = {}
         for orig in sorted(shared):
-            copies[orig] = self.diagram.fresh_node()
+            copies[orig] = g.fresh_node()
         for orig in sorted(shared):
-            for l, t in sorted(self.diagram.out_edges(orig)):
+            for l, t in sorted(g.out_edges(orig)):
                 self._add(l, copies[orig], copies.get(t, t))
         # entry edges: a source inside the group's reach that feeds a
         # copied node is, by cone closure, itself in the cone; if it was
         # not copied it is either a group root or private to the group,
         # so rerouting it in place is invisible to every other world.
         # Roots of other worlds are never rerouted even when reachable.
-        roots_outside = self.diagram.roots - set(class_roots)
-        for (l, s, t) in sorted(self.diagram.edge_set()):
-            if t in copies and s in reach_mine and s not in copies and s not in roots_outside:
-                self._remove(l, s, t)
-                self._add(l, s, copies[t])
+        entries = sorted(
+            (l, s, t)
+            for t in copies
+            for l, s in g.in_edges(t)
+            if s in reach_mine and s not in copies and s not in roots_outside
+        )
+        for (l, s, t) in entries:
+            self._remove(l, s, t)
+            self._add(l, s, copies[t])
         return copies, frozenset(contested - forkable)
 
     def apply_create(self, instr, frame):
@@ -548,8 +542,8 @@ class Engine:
                     self._add(l, copy, mapping.get(t, t))
                 # unmapped parents must reach this world's version too,
                 # otherwise effects behind a shared node would be lost
-                for (l, s, t) in sorted(self.diagram.edge_set()):
-                    if t == orig and s not in mapping:
+                for l, s in sorted(self.diagram.in_edges(orig)):
+                    if s not in mapping:
                         self._add(l, s, copy)
 
         # branch one applies in place
@@ -740,8 +734,8 @@ class Engine:
         self.diagram.reroot(saved_roots)
         # back-pointers may have been copied onto branch clones inside
         # the callee, so sweep by label rather than by target object
-        for (l, s, t) in sorted(e for e in self.diagram.edge_set() if e[0] == back):
-            self._remove(l, s, t)
+        for s, t in sorted(self.diagram.label_edges(back)):
+            self._remove(back, s, t)
         if assign_target is not None:
             # re-read the target's owners: choices inside the callee may
             # have grown them with branch clones carrying result values
@@ -833,8 +827,10 @@ class Engine:
         )
 
     def _unbind_activation(self, act):
-        doomed = [e for e in self.diagram.edge_set() if e[0].tag == act]
-        for (l, s, t) in sorted(doomed):
+        doomed = sorted(
+            (l, s, t) for l in self.diagram.edge_labels() if l.tag == act for s, t in self.diagram.label_edges(l)
+        )
+        for (l, s, t) in doomed:
             self._remove(l, s, t)
 
     # ------------------------------------------------------------------

@@ -85,13 +85,32 @@ def run(args) -> int:
     report = build_report(engine)
     # keep stdout clean for piping when a machine report claims it
     out = sys.stderr if "-" in (args.json, args.dot) else sys.stdout
+    # a request that cannot be answered (a bad query, an unknown point)
+    # still leaves the reports and the analysis diagnostics behind; only
+    # the DOT drawing of an unknown point cannot be drawn
+    answered = _print_answers(args, engine, report, out)
 
+    if args.json:
+        _write(args.json, emit_json(report))
+    if args.dot:
+        if args.at is None:
+            _write(args.dot, emit_dot(engine.diagram, engine.report_scope()))
+        elif args.at in engine.snapshots:
+            _write(args.dot, emit_dot(*engine.snapshots[args.at]))
+
+    _print_diagnostics(engine.diagnostics)
+    return 1 if engine.has_errors() or not answered else 0
+
+
+def _print_answers(args, engine, report, out):
+    """Print the requested answers; False after the first request that
+    cannot be answered, whose error goes to stderr."""
     if args.deutsch:
         try:
             props = deutsch_report(engine, k=3)
         except QueryError as exc:
             print(_paint(str(exc), "31"), file=sys.stderr)
-            return 1
+            return False
         for name in ("P1", "P2", "P3", "P4", "P5"):
             line = "%s: %s" % (name, "yes" if props[name] else "no")
             print(line, file=out)
@@ -107,7 +126,7 @@ def run(args) -> int:
         by_label = dict(report.points)
         if args.at not in by_label:
             print(_paint("unknown program point %r" % args.at, "31"), file=sys.stderr)
-            return 1
+            return False
         shown = by_label[args.at]
         where = "at %s" % args.at
     print("alias pairs (%s):" % where, file=out)
@@ -119,20 +138,9 @@ def run(args) -> int:
             answers = query_alias(engine, AliasQuery(qtext, at=args.at))
         except QueryError as exc:
             print(_paint(str(exc), "31"), file=sys.stderr)
-            return 1
+            return False
         print("alias(%s) = {%s}" % (qtext, ", ".join(sorted(answers))), file=out)
-
-    if args.json:
-        _write(args.json, emit_json(report))
-    if args.dot:
-        if args.at is not None:
-            diagram, scope = engine.snapshots[args.at]
-        else:
-            diagram, scope = engine.diagram, engine.report_scope()
-        _write(args.dot, emit_dot(diagram, scope))
-
-    _print_diagnostics(engine.diagnostics)
-    return 1 if engine.has_errors() else 0
+    return True
 
 
 def _write(path, blob):

@@ -21,7 +21,10 @@ Invariants maintained by every mutating operation:
   * the root set is never empty;
   * node identifiers are allocated from a monotone counter and never
     reused, so a clone can later be unioned back without collisions;
-  * the edge set and its outgoing index agree (``check_invariants``).
+  * the edge set agrees with its three indexes: outgoing (source ->
+    label -> targets), incoming (target -> (label, source) pairs) and by
+    label (label -> (source, target) pairs), and no index keeps an empty
+    bucket (``check_invariants``).
 
 Example:
 
@@ -38,13 +41,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 NodeId = int
 
 
-@dataclass(frozen=True, order=True)
-class Label:
+class Label(NamedTuple):
     """An edge label: a program name plus analysis-internal qualifiers.
 
     ``tag`` distinguishes the routine-local names of one activation from
@@ -52,6 +54,7 @@ class Label:
     own scope that were installed with tag 0).  ``prime`` marks synthetic
     back-pointers installed for the duration of a qualified call; the
     value records the call nesting depth so nested calls do not collide.
+    Labels order and hash as the tuple of their fields.
     """
 
     name: str
@@ -82,6 +85,8 @@ class AliasDiagram:
         self.nodes: Set[NodeId] = set()
         self.roots: Set[NodeId] = set()
         self._out: Dict[NodeId, Dict[Label, Set[NodeId]]] = {}
+        self._in: Dict[NodeId, Set[Tuple[Label, NodeId]]] = {}
+        self._by_label: Dict[Label, Set[Tuple[NodeId, NodeId]]] = {}
         self._edges: Set[Edge] = set()
         self._next_id: int = 0
 
@@ -110,13 +115,15 @@ class AliasDiagram:
 
     def add_edge(self, label: Label, source: NodeId, target: NodeId) -> bool:
         """Insert one triple.  Returns True if the diagram changed."""
-        self.ensure_node(source)
-        self.ensure_node(target)
         e = (label, source, target)
         if e in self._edges:
             return False
+        self.ensure_node(source)
+        self.ensure_node(target)
         self._edges.add(e)
         self._out[source].setdefault(label, set()).add(target)
+        self._in.setdefault(target, set()).add((label, source))
+        self._by_label.setdefault(label, set()).add((source, target))
         return True
 
     def remove_edge(self, label: Label, source: NodeId, target: NodeId) -> bool:
@@ -124,10 +131,9 @@ class AliasDiagram:
         if e not in self._edges:
             return False
         self._edges.discard(e)
-        targets = self._out[source][label]
-        targets.discard(target)
-        if not targets:
-            del self._out[source][label]
+        _discard(self._out[source], label, target)
+        _discard(self._in, target, (label, source))
+        _discard(self._by_label, label, (source, target))
         return True
 
     def edge_set(self) -> FrozenSet[Edge]:
@@ -140,6 +146,21 @@ class AliasDiagram:
         for label, targets in self._out.get(source, {}).items():
             for t in targets:
                 yield label, t
+
+    # The next three iterate the live indexes: collect what they yield
+    # before changing the diagram.
+
+    def in_edges(self, target: NodeId) -> Iterator[Tuple[Label, NodeId]]:
+        """The (label, source) pairs of the edges into ``target``."""
+        return iter(self._in.get(target, ()))
+
+    def label_edges(self, label: Label) -> Iterator[Tuple[NodeId, NodeId]]:
+        """The (source, target) pairs of the edges labeled ``label``."""
+        return iter(self._by_label.get(label, ()))
+
+    def edge_labels(self) -> Iterator[Label]:
+        """Every label some edge carries."""
+        return iter(self._by_label)
 
     def successors(self, source: NodeId, label: Label) -> FrozenSet[NodeId]:
         return frozenset(self._out.get(source, {}).get(label, ()))
@@ -177,6 +198,31 @@ class AliasDiagram:
             if vp & self.value_set(q, start=(r,)):
                 return True
         return False
+
+    # -- reachability ------------------------------------------------------------
+
+    def ancestors(self, nodes: Iterable[NodeId]) -> Set[NodeId]:
+        """``nodes`` plus every node with a path into one of them."""
+        seen = set(nodes)
+        work = list(seen)
+        while work:
+            for _, s in self._in.get(work.pop(), ()):
+                if s not in seen:
+                    seen.add(s)
+                    work.append(s)
+        return seen
+
+    def reach_within(self, starts: Iterable[NodeId], allowed: Set[NodeId]) -> Set[NodeId]:
+        """Nodes reached from ``starts`` on paths that stay in ``allowed``."""
+        seen = {n for n in starts if n in allowed}
+        work = list(seen)
+        while work:
+            for targets in self._out[work.pop()].values():
+                for t in targets:
+                    if t in allowed and t not in seen:
+                        seen.add(t)
+                        work.append(t)
+        return seen
 
     # -- whole-diagram operations ---------------------------------------------
 
@@ -229,6 +275,8 @@ class AliasDiagram:
         twin.roots = set(self.roots)
         twin._edges = set(self._edges)
         twin._out = {n: {l: set(ts) for l, ts in bylabel.items()} for n, bylabel in self._out.items()}
+        twin._in = {t: set(pairs) for t, pairs in self._in.items()}
+        twin._by_label = {l: set(pairs) for l, pairs in self._by_label.items()}
         twin._next_id = self._next_id
         return twin
 
@@ -330,13 +378,28 @@ class AliasDiagram:
                 assert targets, "empty target bucket left behind for %r at %d" % (label, n)
                 for t in targets:
                     rebuilt.add((label, n, t))
-        assert rebuilt == self._edges, "edge set and index disagree"
+        assert rebuilt == self._edges, "edge set and outgoing index disagree"
+        by_target: Dict[NodeId, Set[Tuple[Label, NodeId]]] = {}
+        by_label: Dict[Label, Set[Tuple[NodeId, NodeId]]] = {}
+        for label, s, t in self._edges:
+            by_target.setdefault(t, set()).add((label, s))
+            by_label.setdefault(label, set()).add((s, t))
+        assert by_target == self._in, "edge set and incoming index disagree"
+        assert by_label == self._by_label, "edge set and label index disagree"
         for _, s, t in self._edges:
             assert s in self.nodes and t in self.nodes
         assert all(n < self._next_id for n in self.nodes)
 
     def __repr__(self) -> str:
         return "AliasDiagram(nodes=%d, roots=%s, edges=%d)" % (len(self.nodes), sorted(self.roots), len(self._edges))
+
+
+def _discard(index, key, item):
+    """Drop ``item`` from ``index[key]``, and the bucket once it empties."""
+    bucket = index[key]
+    bucket.discard(item)
+    if not bucket:
+        del index[key]
 
 
 # ---------------------------------------------------------------------------

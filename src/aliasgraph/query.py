@@ -18,8 +18,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class QueryError(Exception):
-    """Raised for queries that cannot be answered (unknown point, or a
-    query text that is not a dotted path of names)."""
+    """Raised for queries that cannot be answered (unknown point, a
+    query text that is not a dotted path of names, or a depth bound
+    shorter than the query path)."""
 
 
 @dataclass
@@ -31,10 +32,8 @@ class AliasQuery:
     def __post_init__(self):
         if not all(_NAME_RE.match(seg.strip()) for seg in self.path.split(".")):
             raise QueryError("query %r is not a dotted path of names such as 'a.n'" % self.path)
-        if self.depth is not None:
-            assert self.depth >= len(parse_name_path(self.path)), (
-                "depth bound must cover the query path itself"
-            )
+        if self.depth is not None and self.depth < len(parse_name_path(self.path)):
+            raise QueryError("depth bound %d must cover the query path %r itself" % (self.depth, self.path))
 
 
 def resolve_path(text, scope=None):

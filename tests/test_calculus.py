@@ -6,6 +6,9 @@ through the canonical form, so node numbering is irrelevant but the
 root/edge structure is exact.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from aliasgraph.query import alias_pairs
 import oracles
 from util import aliased, build, path, run, same_shape, values
 
+CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 EMPTY_CLASS = "class C feature n: C right: C next: C end\n"
 
 
@@ -698,3 +702,24 @@ def test_alternating_choices_inside_a_loop_close_onto_a_finite_world_set():
     assert not any("exceeded" in d.message for d in e.diagnostics)
     assert aliased(e, "v0.n", "v0")
     assert aliased(e, "v1", "v2")
+
+
+def test_diagram_indexes_stay_consistent_through_the_engine():
+    """Replay rollback, privatization and unbinding all remove edges;
+    after a whole analysis in the default (replay) mode the in-edge and
+    label indexes still agree with the edge set, in the final diagram
+    and in every snapshot."""
+    sources = []
+    for seed in range(24):
+        nv, block = oracles.gen_program(seed)
+        sources.append((oracles.render(nv, block), "main"))
+    for seed in range(12):
+        sources.append((oracles.render_loop(*oracles.gen_loop_program(seed)), "main"))
+    for corpus in sorted(CORPUS_DIR.glob("*.oo")):
+        entry = json.loads(corpus.with_name(corpus.stem + ".expected.json").read_text()).get("entry", "main")
+        sources.append((corpus.read_text(), entry))
+    for source, entry in sources:
+        e = run(source, entry=entry)
+        e.diagram.check_invariants()
+        for snapshot, _ in e.snapshots.values():
+            snapshot.check_invariants()

@@ -190,6 +190,28 @@ def test_query_that_is_not_a_path_exits_one(tmp_path, capsys):
     assert "'alias(Y)' is not a dotted path" in capsys.readouterr().err
 
 
+VOID_TARGET_SRC = """class C feature n: C end
+main local a: C b: C do
+  create b
+  a.n := b
+end
+"""
+
+
+@pytest.mark.parametrize("request_args", [["--query", "alias(a)"], ["--at", "L9"]])
+def test_unanswerable_request_still_writes_reports_and_diagnostics(request_args, tmp_path, capsys):
+    src_path = write(tmp_path, "void_target.oo", VOID_TARGET_SRC)
+    report = tmp_path / "out.json"
+    drawing = tmp_path / "out.dot"
+    rc = main(["analyze", src_path, "--json", str(report), "--dot", str(drawing)] + request_args)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "assignment target 'a.n' is definitely void" in err
+    assert json.loads(report.read_text())["final"]["pairs"] == []
+    # the final diagram is drawn unless the request named a point
+    assert drawing.exists() == ("--at" not in request_args)
+
+
 def test_deutsch_flag_prints_and_embeds_properties(tmp_path, capsys):
     src_path = write(tmp_path, "deutsch.oo", DEUTSCH_SRC)
     out = tmp_path / "r.json"

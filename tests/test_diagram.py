@@ -289,6 +289,47 @@ def test_snapshot_is_detached(g):
     g.check_invariants()
 
 
+@given(diagrams(), st.lists(st.tuples(st.sampled_from("abcxy"), st.integers(0, 5), st.integers(0, 5)), max_size=12))
+@settings(max_examples=60)
+def test_indexes_follow_removals(g, doomed):
+    """Removing edges, present or not, keeps the in-edge and label
+    indexes equal to the edge set, with no empty bucket left."""
+    for name, s, t in doomed:
+        g.remove_edge(Label(name), s, t)
+    g.check_invariants()
+    edges = g.edge_set()
+    for n in g.nodes:
+        assert set(g.in_edges(n)) == {(l, s) for (l, s, t) in edges if t == n}
+    for name in "abcxy":
+        assert set(g.label_edges(Label(name))) == {(s, t) for (l, s, t) in edges if l == Label(name)}
+    assert set(g.edge_labels()) == {l for (l, _, _) in edges}
+
+
+def test_ancestors_and_reach_within():
+    g, n0, n1, n2 = reference_graph()
+    n3 = g.fresh_node()
+    g.add_edge(A, n3, n1)
+    assert g.ancestors([n1]) == {n0, n1, n3}
+    assert g.ancestors([n2]) == {n0, n1, n2, n3}
+    # n2 is reached from n0 directly, and through n1 only when n1 is allowed
+    assert g.reach_within([n0], {n0, n2}) == {n0, n2}
+    assert g.reach_within([n3], {n3, n2}) == {n3}
+    assert g.reach_within([n3], {n3, n1, n2}) == {n3, n1, n2}
+    assert g.reach_within([n1], {n0}) == set()
+
+
+def test_label_orders_and_hashes_as_its_fields():
+    assert sorted([Label("b"), Label("a", 2), Label("a", 1, 1), Label("a", 1)]) == [
+        Label("a", 1),
+        Label("a", 1, 1),
+        Label("a", 2),
+        Label("b"),
+    ]
+    assert hash(Label("a", 1, 2)) == hash(("a", 1, 2))
+    assert Label("n", prime=2).display() == "n''"
+    assert Label("n", tag=3).display() == "n"
+
+
 # -- documentation ------------------------------------------------------------------
 
 

@@ -1,9 +1,14 @@
 """Query answers, list-shape checkers, and report rendering."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aliasgraph
 from aliasgraph.diagram import Label
 from aliasgraph.query import (
     AliasQuery,
@@ -94,8 +99,28 @@ end
 
 
 def test_depth_bound_must_cover_the_path():
-    with pytest.raises(AssertionError):
+    with pytest.raises(QueryError):
         AliasQuery("a.b.c", depth=2)
+
+
+def test_depth_bound_is_checked_without_assertions():
+    """The bound is input from a library caller, so it must hold under
+    ``python -O``, which strips assert statements."""
+    with pytest.raises(QueryError, match="depth bound 1"):
+        AliasQuery("a.b", depth=1)
+    pkg_root = str(Path(aliasgraph.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    probe = (
+        "from aliasgraph.query import AliasQuery, QueryError\n"
+        "try:\n"
+        "    AliasQuery('a.b', depth=1)\n"
+        "except QueryError:\n"
+        "    print('refused')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"
 
 
 # ---------------------------------------------------------------------------

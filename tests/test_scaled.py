@@ -1,0 +1,35 @@
+"""Same answers beyond the corpus: scaled programs against frozen pairs.
+
+``scaled/`` holds copies of four programs from the benchmark generators
+in ``bench/workloads.py`` (each entry of ``frozen.json`` names its
+generator call) and the final alias pairs an analysis gave for them
+before the diagram was indexed, when the four together took about 23 s.
+Each program's sha256 is frozen with its pairs, so a changed copy fails
+instead of being checked against answers for another program.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from aliasgraph.calculus import AnalysisConfig, Engine
+from aliasgraph.lang import parse_program, resolve
+from aliasgraph.query import build_report
+
+SCALED_DIR = Path(__file__).resolve().parent / "scaled"
+FROZEN = json.loads((SCALED_DIR / "frozen.json").read_text(encoding="utf-8"))["programs"]
+
+
+@pytest.mark.parametrize("entry", FROZEN, ids=[e["file"] for e in FROZEN])
+def test_scaled_program_keeps_its_frozen_pairs(entry):
+    text = (SCALED_DIR / entry["file"]).read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == entry["sha256"]
+    program = parse_program(text, entry["file"])
+    assert not [d for d in resolve(program) if d.severity == "error"]
+    engine = Engine(program, AnalysisConfig(record_points=False))
+    engine.analyze(entry["entry"])
+    assert not engine.has_errors()
+    got = [list(p) for p in build_report(engine).final_pairs]
+    assert got == entry["pairs"]
