@@ -76,13 +76,13 @@ UNROLL_LIMIT = 4
 class AnalysisConfig:
     cap: int = 1  # creation allowance per site per enclosing fixpoint
     max_iters: int = 1000  # fixpoint iteration ceiling
-    choice_mode: str = "replay"  # "replay" | "clone" (naive reference mode)
     record_points: bool = True
 
     def __post_init__(self):
-        assert self.cap >= 1, "the creation cap must be at least 1"
-        assert self.max_iters >= 1
-        assert self.choice_mode in ("replay", "clone")
+        if self.cap < 1:
+            raise ValueError("the creation cap must be at least 1, got %r" % (self.cap,))
+        if self.max_iters < 1:
+            raise ValueError("the iteration ceiling must be at least 1, got %r" % (self.max_iters,))
 
 
 class AnalysisError(Exception):
@@ -463,34 +463,8 @@ class Engine:
         # one of the two is live, and dispatch has at least one version
         if len(live) == 1:
             live[0]()
-            return
-        if self.config.choice_mode == "clone":
-            self._branches_by_cloning(live)
         else:
             self._branches_by_replay(site, live)
-
-    # -- naive reference mode: fork a full copy per branch and union.
-    # Counters are synced before cloning so the united worlds cannot
-    # collide on node ids.  Kept simple on purpose: it is the oracle the
-    # replay implementation is tested against, and it ignores the memo
-    # machinery, so it is only safe outside fixpoints.
-
-    def _branches_by_cloning(self, live):
-        base = self.diagram
-        worlds = []
-        for i, thunk in enumerate(live):
-            self.diagram = base.snapshot()
-            thunk()
-            worlds.append(self.diagram)
-        merged = worlds[0]
-        cursor = max(w._next_id for w in worlds)
-        for w in worlds[1:]:
-            w._next_id = cursor
-            renamed, _ = w.clone()
-            cursor = renamed._next_id
-            merged._next_id = cursor
-            merged.union(renamed)
-        self.diagram = merged
 
     # -- delta replay
 

@@ -20,7 +20,8 @@ Invariants maintained by every mutating operation:
 
   * the root set is never empty;
   * node identifiers are allocated from a monotone counter and never
-    reused, so a clone can later be unioned back without collisions;
+    reused, so every node at or past a recorded counter value was made
+    after it (branch replay uses this as its watermark);
   * the edge set agrees with its three indexes: outgoing (source ->
     label -> targets), incoming (target -> (label, source) pairs) and by
     label (label -> (source, target) pairs), and no index keeps an empty
@@ -39,9 +40,8 @@ Example:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 NodeId = int
 
@@ -105,7 +105,8 @@ class AliasDiagram:
         return n
 
     def ensure_node(self, n: NodeId) -> None:
-        """Register an externally chosen id (used by union and cloning)."""
+        """Register an id that may not be a node yet (an edge's ends, a
+        new root), moving the counter past it."""
         if n not in self.nodes:
             self.nodes.add(n)
             self._out.setdefault(n, {})
@@ -236,38 +237,6 @@ class AliasDiagram:
         self.roots = new
         return old
 
-    def union(self, other: "AliasDiagram") -> None:
-        """Componentwise in-place union, preserving node identities.
-
-        Shared ids merge: this is how two variants derived from the same
-        diagram recombine, with agreement on the untouched structure and
-        accumulation of the divergent edges.
-        """
-        for n in sorted(other.nodes):
-            self.ensure_node(n)
-        for label, s, t in sorted(other.edges()):
-            self.add_edge(label, s, t)
-        self.roots |= other.roots
-
-    def clone(self) -> Tuple["AliasDiagram", Dict[NodeId, NodeId]]:
-        """Isomorphic copy on fresh ids drawn from this diagram's counter.
-
-        The copy's counter continues past both diagrams' ids, so either
-        can later be unioned with the other without collisions.
-        """
-        twin = AliasDiagram()
-        twin._next_id = self._next_id
-        mapping: Dict[NodeId, NodeId] = {}
-        for n in sorted(self.nodes):
-            mapping[n] = twin.fresh_node()
-        for label, s, t in sorted(self._edges):
-            twin.add_edge(label, mapping[s], mapping[t])
-        twin.roots = {mapping[r] for r in self.roots}
-        # Let the source skip past the ids the twin consumed, keeping the
-        # "never reused" invariant global across both.
-        self._next_id = twin._next_id
-        return twin, mapping
-
     def snapshot(self) -> "AliasDiagram":
         """Identity-preserving deep copy (same ids, same roots)."""
         twin = AliasDiagram()
@@ -279,92 +248,6 @@ class AliasDiagram:
         twin._by_label = {l: set(pairs) for l, pairs in self._by_label.items()}
         twin._next_id = self._next_id
         return twin
-
-    # -- comparison ------------------------------------------------------------
-
-    def reachable_nodes(self) -> Set[NodeId]:
-        seen: Set[NodeId] = set()
-        frontier = list(self.roots)
-        while frontier:
-            n = frontier.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            for _, t in self.out_edges(n):
-                if t not in seen:
-                    frontier.append(t)
-        return seen
-
-    def canonical_form(self, reachable_only: bool = True) -> Tuple:
-        """A value equal for exactly the isomorphic diagrams.
-
-        Isomorphism here means a node bijection preserving edges, labels
-        and rootness; ids themselves do not matter.  By default nodes
-        unreachable from every root are ignored, mirroring how result
-        states are drawn without their orphaned objects.
-
-        Color refinement splits the nodes; any remaining symmetric class
-        is broken by trying the permutations and keeping the least
-        encoding, which is fine at the sizes the analysis produces (the
-        search is capped and falls back to the refined order).
-        """
-        nodes = sorted(self.reachable_nodes() if reachable_only else self.nodes)
-        node_set = set(nodes)
-        edges = [(l, s, t) for (l, s, t) in self._edges if s in node_set and t in node_set]
-        ins: Dict[NodeId, List[Tuple[Label, NodeId]]] = {n: [] for n in nodes}
-        outs: Dict[NodeId, List[Tuple[Label, NodeId]]] = {n: [] for n in nodes}
-        for l, s, t in edges:
-            outs[s].append((l, t))
-            ins[t].append((l, s))
-
-        color = {n: (n in self.roots) for n in nodes}
-        while True:
-            sig = {
-                n: (
-                    color[n],
-                    tuple(sorted((l, color[t]) for l, t in outs[n])),
-                    tuple(sorted((l, color[s]) for l, s in ins[n])),
-                )
-                for n in nodes
-            }
-            palette = {s: i for i, s in enumerate(sorted(set(sig.values()), key=repr))}
-            new_color = {n: palette[sig[n]] for n in nodes}
-            if new_color == color:
-                break
-            color = new_color
-
-        classes: Dict[int, List[NodeId]] = {}
-        for n in nodes:
-            classes.setdefault(color[n], []).append(n)
-
-        def encode(order: Mapping[NodeId, int]) -> Tuple:
-            return (
-                tuple(sorted((l.display(), l.tag, order[s], order[t]) for l, s, t in edges)),
-                tuple(sorted(order[r] for r in self.roots if r in node_set)),
-            )
-
-        base_order = {n: i for i, n in enumerate(sorted(nodes, key=lambda n: (color[n], n)))}
-        search_space = 1
-        for members in classes.values():
-            for k in range(2, len(members) + 1):
-                search_space *= k
-            if search_space > 40320:
-                return encode(base_order)
-
-        best = None
-        group_ids = sorted(classes)
-        perms_per_group = [list(itertools.permutations(classes[g])) for g in group_ids]
-        for combo in itertools.product(*perms_per_group):
-            order: Dict[NodeId, int] = {}
-            i = 0
-            for seq in combo:
-                for n in seq:
-                    order[n] = i
-                    i += 1
-            enc = encode(order)
-            if best is None or enc < best:
-                best = enc
-        return best if best is not None else encode(base_order)
 
     # -- sanity -----------------------------------------------------------------
 

@@ -131,17 +131,12 @@ def _state_at(engine, at):
 # ---------------------------------------------------------------------------
 
 
-def _as_label(l):
-    return l if isinstance(l, Label) else Label(l)
-
-
 def _spine(base, tl, i):
     return base + (tl,) * i
 
 
 def check_acyclic(diagram, p, via, k, scope=None):
     """No node within k via-steps of p's values lies on a via-cycle."""
-    via = _as_label(via)
     ball = set(diagram.value_set(resolve_path(p, scope)))
     frontier = set(ball)
     for _ in range(k):
@@ -170,7 +165,6 @@ def check_acyclic(diagram, p, via, k, scope=None):
 
 def check_successive_heads(diagram, y, hd, tl, k, scope=None):
     """Heads at consecutive list positions never alias (positions 0..k)."""
-    hd, tl = _as_label(hd), _as_label(tl)
     ypath = resolve_path(y, scope)
     for i in range(k):
         a = _spine(ypath, tl, i) + (hd,)
@@ -182,7 +176,6 @@ def check_successive_heads(diagram, y, hd, tl, k, scope=None):
 
 def check_tails_disjoint(diagram, x, y, tl, k, scope=None):
     """No proper tail of x aliases a proper tail of y (1..k each)."""
-    tl = _as_label(tl)
     xpath, ypath = resolve_path(x, scope), resolve_path(y, scope)
     for i in range(1, k + 1):
         for j in range(1, k + 1):
@@ -193,7 +186,6 @@ def check_tails_disjoint(diagram, x, y, tl, k, scope=None):
 
 def check_pairwise_heads(diagram, x, y, hd, tl, k, scope=None):
     """Heads of x and y may meet only at equal positions (0..k)."""
-    hd, tl = _as_label(hd), _as_label(tl)
     xpath, ypath = resolve_path(x, scope), resolve_path(y, scope)
     for i in range(k + 1):
         for j in range(k + 1):
@@ -209,7 +201,6 @@ def check_pairwise_heads(diagram, x, y, hd, tl, k, scope=None):
 def check_fully_unaliased(diagram, y, hd, tl, k, scope=None):
     """Heads and proper tails of y are pairwise unaliased (distinct
     expressions only)."""
-    hd, tl = _as_label(hd), _as_label(tl)
     ypath = resolve_path(y, scope)
     family = [_spine(ypath, tl, j) for j in range(1, k + 1)]
     family += [_spine(ypath, tl, i) + (hd,) for i in range(k + 1)]

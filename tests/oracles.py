@@ -1,15 +1,20 @@
 """Independent answer generators for the acceptance suite.
 
-Nothing here reuses the engine's machinery: a seeded random program
-generator, a concrete interpreter that forks at every choice and runs a
-real heap, and an explicit union-over-iterations evaluator for loops
-working on raw edge triples.  Each exists so the engine's answers can
-be compared against something computed a different way.
+A seeded random program generator, a concrete interpreter that forks at
+every choice and runs a real heap, an explicit union-over-iterations
+evaluator for loops working on raw edge triples, and an engine whose
+choices copy the whole diagram per branch instead of replaying deltas.
+Each exists so the engine's answers can be compared against something
+computed a different way.  The diagram helpers at the end (cloning,
+union, canonical forms for shape comparison) use only the diagram's
+public operations plus its id counter.
 """
 
+import itertools
 import random
 
-from aliasgraph.diagram import Label
+from aliasgraph.calculus import Engine
+from aliasgraph.diagram import AliasDiagram, Label
 
 # Structured instruction forms, shared by the generator, the renderer,
 # the interpreter, and the loop evaluator:
@@ -230,3 +235,162 @@ def union_alias_pairs(union, root, names):
             if p < q and vals[p] & vals[q]:
                 out.add((p, q))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# naive choice handling: fork a full copy per branch and union
+# ---------------------------------------------------------------------------
+
+
+class CloningEngine(Engine):
+    """The engine with every multi-branch choice run by whole-diagram
+    cloning instead of delta replay (it overrides the engine's
+    multi-branch step): each branch runs on its own snapshot, and the
+    worlds are renamed apart and united.  Counters are synced before
+    cloning so the united worlds cannot collide on fresh node ids.  Kept
+    simple on purpose: it is the oracle delta replay is tested against,
+    and it ignores the memo machinery, so it is only safe outside
+    fixpoints."""
+
+    def _branches_by_replay(self, site, live):
+        base = self.diagram
+        worlds = []
+        for thunk in live:
+            self.diagram = base.snapshot()
+            thunk()
+            worlds.append(self.diagram)
+        merged = worlds[0]
+        cursor = max(w._next_id for w in worlds)
+        for w in worlds[1:]:
+            w._next_id = cursor
+            # the roots an active qualified call will reroot back onto
+            # (its primed back-pointers' targets) keep their ids, or
+            # this world would be left behind when the call returns
+            renamed, _ = clone(w, keep={t for label, _, t in w.edges() if label.prime})
+            cursor = renamed._next_id
+            merged._next_id = cursor
+            union(merged, renamed)
+        self.diagram = merged
+
+
+def clone(d, keep=frozenset()):
+    """Isomorphic copy of ``d`` on fresh ids drawn from its counter, and
+    the old-to-new id mapping.  Nodes in ``keep`` keep their ids.
+
+    The copy's counter continues past both diagrams' ids, and ``d``'s
+    skips past the ids the copy consumed, so either can later be unioned
+    with the other, colliding only on the kept nodes.
+    """
+    twin = AliasDiagram()
+    twin._next_id = d._next_id
+    mapping = {n: n for n in keep}
+    for n in sorted(d.nodes - keep):
+        mapping[n] = twin.fresh_node()
+    for n in keep:
+        twin.ensure_node(n)
+    for label, s, t in sorted(d.edges()):
+        twin.add_edge(label, mapping[s], mapping[t])
+    twin.roots = {mapping[r] for r in d.roots}
+    d._next_id = twin._next_id
+    return twin, mapping
+
+
+def union(d, other):
+    """Componentwise in-place union into ``d``, preserving node ids.
+
+    Shared ids merge: this is how two variants derived from the same
+    diagram recombine, with agreement on the untouched structure and
+    accumulation of the divergent edges.
+    """
+    for n in sorted(other.nodes):
+        d.ensure_node(n)
+    for label, s, t in sorted(other.edges()):
+        d.add_edge(label, s, t)
+    d.roots |= other.roots
+
+
+def reachable_nodes(d):
+    """The nodes reachable from some root of ``d``."""
+    seen = set()
+    frontier = list(d.roots)
+    while frontier:
+        n = frontier.pop()
+        if n in seen:
+            continue
+        seen.add(n)
+        for _, t in d.out_edges(n):
+            if t not in seen:
+                frontier.append(t)
+    return seen
+
+
+def canonical_form(d, reachable_only=True):
+    """A value equal for exactly the isomorphic diagrams.
+
+    Isomorphism here means a node bijection preserving edges, labels and
+    rootness; ids themselves do not matter.  By default nodes unreachable
+    from every root are ignored, mirroring how result states are drawn
+    without their orphaned objects.
+
+    Color refinement splits the nodes; any remaining symmetric class is
+    broken by trying the permutations and keeping the least encoding,
+    which is fine at the sizes the analysis produces (the search is
+    capped and falls back to the refined order).
+    """
+    nodes = sorted(reachable_nodes(d) if reachable_only else d.nodes)
+    node_set = set(nodes)
+    edges = [(l, s, t) for (l, s, t) in d.edges() if s in node_set and t in node_set]
+    ins = {n: [] for n in nodes}
+    outs = {n: [] for n in nodes}
+    for l, s, t in edges:
+        outs[s].append((l, t))
+        ins[t].append((l, s))
+
+    color = {n: (n in d.roots) for n in nodes}
+    while True:
+        sig = {
+            n: (
+                color[n],
+                tuple(sorted((l, color[t]) for l, t in outs[n])),
+                tuple(sorted((l, color[s]) for l, s in ins[n])),
+            )
+            for n in nodes
+        }
+        palette = {s: i for i, s in enumerate(sorted(set(sig.values()), key=repr))}
+        new_color = {n: palette[sig[n]] for n in nodes}
+        if new_color == color:
+            break
+        color = new_color
+
+    classes = {}
+    for n in nodes:
+        classes.setdefault(color[n], []).append(n)
+
+    def encode(order):
+        return (
+            tuple(sorted((l.display(), l.tag, order[s], order[t]) for l, s, t in edges)),
+            tuple(sorted(order[r] for r in d.roots if r in node_set)),
+        )
+
+    base_order = {n: i for i, n in enumerate(sorted(nodes, key=lambda n: (color[n], n)))}
+    search_space = 1
+    for members in classes.values():
+        for k in range(2, len(members) + 1):
+            search_space *= k
+        if search_space > 40320:
+            return encode(base_order)
+
+    best = None
+    group_ids = sorted(classes)
+    perms_per_group = [list(itertools.permutations(classes[g])) for g in group_ids]
+    for combo in itertools.product(*perms_per_group):
+        order = {}
+        i = 0
+        for seq in combo:
+            for n in seq:
+                order[n] = i
+                i += 1
+        enc = encode(order)
+        if best is None or enc < best:
+            best = enc
+    return best if best is not None else encode(base_order)

@@ -7,6 +7,7 @@ fail line per requirement.
 import os
 import time
 
+from aliasgraph.calculus import Engine
 from aliasgraph.query import alias_pairs, deutsch_report
 from aliasgraph.cli import main
 
@@ -125,8 +126,8 @@ def test_branch_replay_agrees_with_naive_cloning_on_random_programs():
         source = oracles.render(nv, block)
         names = oracles.observed_names(nv)
         answers = {
-            mode: _names_at(run(source, choice_mode=mode), names)
-            for mode in ("replay", "clone")
+            mode: _names_at(run(source, engine=engine), names)
+            for mode, engine in (("replay", Engine), ("clone", oracles.CloningEngine))
         }
         assert answers["replay"] == answers["clone"], (
             "seed %d disagrees:\n%s\nreplay=%s\nclone=%s"

@@ -7,22 +7,35 @@ root/edge structure is exact.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aliasgraph
 from aliasgraph.calculus import FALSE, TRUE, UNKNOWN, AnalysisConfig, AnalysisError, Engine
 from aliasgraph.diagram import Label
 from aliasgraph.lang import parse_program
 from aliasgraph.query import alias_pairs
 
 import oracles
-from util import aliased, build, path, run, same_shape, values
+from oracles import CloningEngine, canonical_form, reachable_nodes
+from util import DISPATCH_SRC, aliased, build, path, run, same_shape, values
 
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 EMPTY_CLASS = "class C feature n: C right: C next: C end\n"
+
+
+def corpus_sources():
+    """(text, entry) of every corpus program, the entry from its expectation."""
+    return [
+        (oo.read_text(), json.loads(oo.with_name(oo.stem + ".expected.json").read_text()).get("entry", "main"))
+        for oo in sorted(CORPUS_DIR.glob("*.oo"))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +168,17 @@ ELSEIF_SRC = EMPTY_CLASS + (
 )
 
 
-@pytest.mark.parametrize("mode", ["replay", "clone"])
-def test_elseif_chain_keeps_one_world_per_live_arm(mode):
+@pytest.mark.parametrize("engine", [Engine, CloningEngine], ids=["replay", "clone"])
+def test_elseif_chain_keeps_one_world_per_live_arm(engine):
     names = ["a", "b", "c", "x"]
     # y and z are created, so "= Void" is unknown: every arm and the
     # else (guarded by z /= Void) stay live, each in its own world
-    e = run(ELSEIF_SRC % "z = Void", choice_mode=mode)
+    e = run(ELSEIF_SRC % "z = Void", engine=engine)
     assert len(e.diagram.roots) == 3
     assert alias_pairs(e.diagram, e.report_scope(), names) == [("a", "x"), ("b", "x"), ("c", "x")]
     # z and a are distinct objects: the middle arm is pruned, and the
     # else, guarded by its negation, is definitely live
-    e = run(ELSEIF_SRC % "z = a", choice_mode=mode)
+    e = run(ELSEIF_SRC % "z = a", engine=engine)
     assert len(e.diagram.roots) == 2
     assert alias_pairs(e.diagram, e.report_scope(), names) == [("a", "x"), ("c", "x")]
 
@@ -179,17 +192,17 @@ def test_not_equal_and_not_equals_give_the_same_pairs():
     by_cond = {}
     for cond in ("not a = Void", "a /= Void", "not not a /= Void"):
         e = run(src % cond)
-        by_cond[cond] = (alias_pairs(e.diagram, e.report_scope(), names), e.diagram.canonical_form())
+        by_cond[cond] = (alias_pairs(e.diagram, e.report_scope(), names), canonical_form(e.diagram))
     assert by_cond["not a = Void"] == by_cond["a /= Void"] == by_cond["not not a /= Void"]
     assert by_cond["a /= Void"][0] == [("a", "x"), ("b", "x")]
 
 
-@pytest.mark.parametrize("mode", ["replay", "clone"])
-def test_definitely_false_single_arm_if_keeps_the_state(mode):
+@pytest.mark.parametrize("engine", [Engine, CloningEngine], ids=["replay", "clone"])
+def test_definitely_false_single_arm_if_keeps_the_state(engine):
     src = EMPTY_CLASS + "main local x: C y: C do create y x := Void %s end"
     plain = run(src % "skip")
-    e = run(src % "if x /= Void then y := x end", choice_mode=mode)
-    assert e.diagram.canonical_form() == plain.diagram.canonical_form()
+    e = run(src % "if x /= Void then y := x end", engine=engine)
+    assert canonical_form(e.diagram) == canonical_form(plain.diagram)
     assert values(e, "y") != frozenset()
     # the else guard (x = Void) is definitely true, so exactly one
     # branch runs: no world is forked and no note is given
@@ -254,13 +267,36 @@ def test_creation_in_a_loop_is_capped_per_site():
     e = run(EMPTY_CLASS + "main local t: C do loop create t end end")
     assert not e.has_errors()
     # one allowance: every iteration past the first reuses the same node
-    assert len(e.diagram.reachable_nodes()) == 2
+    assert len(reachable_nodes(e.diagram)) == 2
 
 
 def test_creation_cap_is_configurable():
     e = run(EMPTY_CLASS + "main local t: C do loop create t end end", cap=2)
     assert not e.has_errors()
-    assert len(e.diagram.reachable_nodes()) == 3
+    assert len(reachable_nodes(e.diagram)) == 3
+
+
+def test_config_bounds_are_checked_without_assertions():
+    """The creation cap and the iteration ceiling are input from a library
+    caller, so they must be refused under ``python -O`` too, which strips
+    assert statements."""
+    for bad in ({"cap": 0}, {"max_iters": 0}):
+        with pytest.raises(ValueError, match="at least 1"):
+            AnalysisConfig(**bad)
+    pkg_root = str(Path(aliasgraph.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    probe = (
+        "from aliasgraph.calculus import AnalysisConfig\n"
+        "for bad in ({'cap': 0}, {'max_iters': 0}):\n"
+        "    try:\n"
+        "        AnalysisConfig(**bad)\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["refused", "refused"]
 
 
 def test_two_creations_outside_loops_stay_distinct():
@@ -550,7 +586,7 @@ end
             ("tl", 3, 4),
         ],
     )
-    assert snap.canonical_form() == same_shape_src.canonical_form()
+    assert canonical_form(snap) == canonical_form(same_shape_src)
     # X and Y never share structure in any world
     for r in snap.roots:
         assert not (snap.value_set(path("X"), start=(r,)) & snap.value_set(path("Y"), start=(r,)))
@@ -585,6 +621,14 @@ def test_points_can_be_switched_off():
 # ---------------------------------------------------------------------------
 
 
+# a qualified call whose callee forks: the choice runs rerooted into o,
+# and y reads its outcome back in the caller
+QUALIFIED_CHOICE_SRC = (
+    "class M feature x: M pick (v: M; w: M) do then x := v else x := w end end end\n"
+    "main local o: M p: M q: M y: M do create o create p create q o.pick (p, q) y := o.x end"
+)
+
+
 def test_clone_mode_agrees_with_replay_on_a_branchy_program():
     src = (
         EMPTY_CLASS
@@ -592,11 +636,19 @@ def test_clone_mode_agrees_with_replay_on_a_branchy_program():
         + " then x := a else x := b end then c := x else skip end end"
     )
     fast = run(src)
-    slow = run(src, choice_mode="clone")
+    slow = run(src, engine=CloningEngine)
     names = ["a", "b", "c", "x"]
     for p in names:
         for q in names:
             assert aliased(fast, p, q) == aliased(slow, p, q), (p, q)
+    # calls fork through the same step: plain calls, qualified calls
+    # (rerooting), recursion and dynamic dispatch
+    for source, entry in [(DISPATCH_SRC, "main"), (QUALIFIED_CHOICE_SRC, "main")] + corpus_sources():
+        fast = run(source, entry=entry)
+        slow = run(source, entry=entry, engine=CloningEngine)
+        universe = list(fast.universe)
+        got = alias_pairs(fast.diagram, fast.report_scope(), universe)
+        assert got == alias_pairs(slow.diagram, slow.report_scope(), universe), source
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +690,9 @@ def test_replay_equals_cloning_and_predicts_every_concrete_pair(seed):
     source = oracles.render(nv, block)
     names = oracles.observed_names(nv)
     by_mode = {}
-    for mode in ("replay", "clone"):
-        engine = run(source, choice_mode=mode)
-        by_mode[mode] = alias_pairs(engine.diagram, engine.report_scope(), names)
+    for mode, engine in (("replay", Engine), ("clone", CloningEngine)):
+        e = run(source, engine=engine)
+        by_mode[mode] = alias_pairs(e.diagram, e.report_scope(), names)
     assert by_mode["replay"] == by_mode["clone"], source
     assert oracles.concrete_alias_pairs(nv, block) <= set(by_mode["replay"]), source
 
@@ -666,7 +718,7 @@ def test_divergent_strong_update_forks_the_shared_owner():
     )
     names = ["v0", "v1", "v2", "v3", "v0.n", "v1.n", "v2.n", "v3.n"]
     fast = run(src)
-    slow = run(src, choice_mode="clone")
+    slow = run(src, engine=CloningEngine)
     got = alias_pairs(fast.diagram, fast.report_scope(), names)
     assert got == alias_pairs(slow.diagram, slow.report_scope(), names)
     assert ("v0", "v1.n") in got
@@ -715,10 +767,7 @@ def test_diagram_indexes_stay_consistent_through_the_engine():
         sources.append((oracles.render(nv, block), "main"))
     for seed in range(12):
         sources.append((oracles.render_loop(*oracles.gen_loop_program(seed)), "main"))
-    for corpus in sorted(CORPUS_DIR.glob("*.oo")):
-        entry = json.loads(corpus.with_name(corpus.stem + ".expected.json").read_text()).get("entry", "main")
-        sources.append((corpus.read_text(), entry))
-    for source, entry in sources:
+    for source, entry in sources + corpus_sources():
         e = run(source, entry=entry)
         e.diagram.check_invariants()
         for snapshot, _ in e.snapshots.values():

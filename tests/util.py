@@ -4,6 +4,8 @@ from aliasgraph.calculus import AnalysisConfig, Engine
 from aliasgraph.diagram import AliasDiagram, Label
 from aliasgraph.lang import parse_program, resolve
 
+from oracles import canonical_form
+
 # The list-copy benchmark: a recursive structural copy of a linked list,
 # with the program points the reports and property checks refer to.
 DEUTSCH_SRC = """
@@ -72,15 +74,17 @@ end
 """
 
 
-def run(source, entry="main", **config_kwargs):
-    """Parse, resolve, and analyze; fail the test on static errors."""
+def run(source, entry="main", engine=Engine, **config_kwargs):
+    """Parse, resolve, and analyze with an ``engine`` class (``Engine``, or
+    ``oracles.CloningEngine`` for the cloning reference); fail the test on
+    static errors."""
     prog = parse_program(source)
     diags = resolve(prog)
     errors = [d for d in diags if d.severity == "error"]
     assert not errors, "static errors: %s" % [d.render() for d in errors]
-    engine = Engine(prog, AnalysisConfig(**config_kwargs) if config_kwargs else None)
-    engine.analyze(entry)
-    return engine
+    e = engine(prog, AnalysisConfig(**config_kwargs) if config_kwargs else None)
+    e.analyze(entry)
+    return e
 
 
 def build(roots, edges):
@@ -110,6 +114,6 @@ def values(engine, p):
 
 
 def same_shape(engine, expected):
-    got = engine.diagram.canonical_form()
-    want = expected.canonical_form()
+    got = canonical_form(engine.diagram)
+    want = canonical_form(expected)
     assert got == want, "diagram shape differs:\n  got:  %r\n  want: %r" % (got, want)
