@@ -13,7 +13,8 @@ family of possible heaps, and the families share whatever structure the
 fork left untouched.  Alias questions on such a diagram must be answered
 within each root's component and or-ed across roots; intersecting the
 merged value sets would conflate objects that belong to different worlds.
-``value_sets_by_root`` and ``may_alias`` implement that discipline, while
+``value_sets_by_root`` gives each root's value set, and the root masks of
+``aliasgraph.query`` answer alias questions for every root at once, while
 plain ``value_set`` gives the merged view used for condition tests.
 
 Invariants maintained by every mutating operation:
@@ -189,16 +190,6 @@ class AliasDiagram:
     def value_sets_by_root(self, path: Sequence[Label]) -> Dict[NodeId, FrozenSet[NodeId]]:
         """``V(path)`` computed separately under each root."""
         return {r: self.value_set(path, start=(r,)) for r in self.roots}
-
-    def may_alias(self, p: Sequence[Label], q: Sequence[Label]) -> bool:
-        """True when some single root sees the two paths share a node."""
-        for r in self.roots:
-            vp = self.value_set(p, start=(r,))
-            if not vp:
-                continue
-            if vp & self.value_set(q, start=(r,)):
-                return True
-        return False
 
     # -- reachability ------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Alias queries over analysis results, list-shape checkers, reports.
 
 Everything here is read-only over a diagram plus a name scope: queries
-resolve source-level path strings to label paths, intersect per-root
-value sets, and render the answers (JSON document, DOT drawing).
+resolve source-level path strings to label paths, answer alias
+questions for every root at once through root masks (``RootMasks``),
+and render the answers (JSON document, DOT drawing).
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from aliasgraph.diagram import Label, format_name_path, label_path, parse_name_path
+from aliasgraph.diagram import AliasDiagram, Label, NodeId, format_name_path, label_path, parse_name_path
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -42,6 +43,64 @@ def resolve_path(text, scope=None):
 
 
 # ---------------------------------------------------------------------------
+# root masks
+# ---------------------------------------------------------------------------
+
+
+class RootMasks:
+    """Value sets of label paths under every root of a diagram at once.
+
+    Root i of ``sorted(diagram.roots)`` owns the bit ``1 << i``.  The
+    masks of a path map each node of its merged value set to the bits of
+    the roots r with that node in V_r(path).  Two paths may alias exactly
+    when some node carries a common bit in both: one root witnesses the
+    shared node.  Masks of different nodes are never or-ed together, so
+    worlds stay apart.  Each path's masks are memoized and built from its
+    prefix's, so a prefix-closed set of paths is walked as a trie.  The
+    diagram must not change while the masks are in use.
+    """
+
+    def __init__(self, diagram: AliasDiagram) -> None:
+        self.diagram = diagram
+        self.bits = {r: 1 << i for i, r in enumerate(sorted(diagram.roots))}
+        self.all_bits = (1 << len(self.bits)) - 1
+        # a trie of resolved prefixes: (masks, label -> next step)
+        self._trie: Tuple[Dict[NodeId, int], dict] = (dict(self.bits), {})
+
+    def of(self, path: Sequence[Label]) -> Dict[NodeId, int]:
+        """node -> bits of the roots whose value set of ``path`` holds it."""
+        masks, steps = self._trie
+        for i, label in enumerate(path):
+            if not masks:
+                break  # no value: no longer path has one either
+            step = steps.get(label)
+            if step is None:
+                got: Dict[NodeId, int] = {}
+                if i == 0:
+                    # one pass over the label's edges, not one successor
+                    # set per root; a top-level local can carry the same
+                    # label as a field, so only edges leaving a root count
+                    for s, t in self.diagram.label_edges(label):
+                        bit = masks.get(s)
+                        if bit is not None:
+                            got[t] = got.get(t, 0) | bit
+                else:
+                    for n, mask in masks.items():
+                        for t in self.diagram.successors(n, label):
+                            got[t] = got.get(t, 0) | mask
+                step = steps[label] = (got, {})
+            masks, steps = step
+        return masks
+
+    def alias(self, p: Sequence[Label], q: Sequence[Label]) -> bool:
+        """True when some single root sees the two paths share a node."""
+        a, b = self.of(p), self.of(q)
+        if len(b) < len(a):
+            a, b = b, a
+        return any(mask & b.get(n, 0) for n, mask in a.items())
+
+
+# ---------------------------------------------------------------------------
 # alias pairs and query answering
 # ---------------------------------------------------------------------------
 
@@ -50,20 +109,25 @@ def alias_pairs(diagram, scope, name_paths):
     """All unordered may-alias pairs among the given name paths.
 
     Returns sorted (p, q) string tuples with p < q; empty-valued paths
-    pair with nothing, and a path never pairs with itself.
+    pair with nothing, and a path never pairs with itself.  Paths are
+    compared only where they share a node, so the cost follows the
+    value-set sizes and the pairs found, not the number of path pairs
+    times the number of roots.
     """
-    resolved = {}
-    for np in name_paths:
-        text = format_name_path(np) if not isinstance(np, str) else np
-        resolved[text] = diagram.value_sets_by_root(resolve_path(text, scope))
-    names = sorted(resolved)
-    pairs = []
-    for i, p in enumerate(names):
-        for q in names[i + 1 :]:
-            vp, vq = resolved[p], resolved[q]
-            if any(vp[r] & vq[r] for r in diagram.roots):
-                pairs.append((p, q))
-    return pairs
+    masks = RootMasks(diagram)
+    texts = {np if isinstance(np, str) else format_name_path(np) for np in name_paths}
+    by_node = {}
+    # in sorted order, so each bucket lists p before q when p < q
+    for text in sorted(texts):
+        for n, mask in masks.of(resolve_path(text, scope)).items():
+            by_node.setdefault(n, []).append((text, mask))
+    pairs = set()
+    for bucket in by_node.values():
+        for i, (p, mp) in enumerate(bucket):
+            for q, mq in bucket[i + 1 :]:
+                if mp & mq:
+                    pairs.add((p, q))
+    return sorted(pairs)
 
 
 def _diagram_paths(diagram, scope, depth):
@@ -104,14 +168,13 @@ def query_alias(engine, query: AliasQuery):
     candidates = set(engine.universe)
     if query.depth is not None:
         candidates |= _diagram_paths(diagram, scope, query.depth)
+    masks = RootMasks(diagram)
     qpath = resolve_path(query.path, scope)
     qtext = format_name_path(parse_name_path(query.path))
     out = set()
     for np in candidates:
         text = format_name_path(np)
-        if text == qtext:
-            continue
-        if diagram.may_alias(qpath, label_path(np, scope)):
+        if text != qtext and masks.alias(qpath, label_path(np, scope)):
             out.add(text)
     return out
 
@@ -165,27 +228,30 @@ def check_acyclic(diagram, p, via, k, scope=None):
 
 def check_successive_heads(diagram, y, hd, tl, k, scope=None):
     """Heads at consecutive list positions never alias (positions 0..k)."""
+    masks = RootMasks(diagram)
     ypath = resolve_path(y, scope)
     for i in range(k):
         a = _spine(ypath, tl, i) + (hd,)
         b = _spine(ypath, tl, i + 1) + (hd,)
-        if diagram.may_alias(a, b):
+        if masks.alias(a, b):
             return False
     return True
 
 
 def check_tails_disjoint(diagram, x, y, tl, k, scope=None):
     """No proper tail of x aliases a proper tail of y (1..k each)."""
+    masks = RootMasks(diagram)
     xpath, ypath = resolve_path(x, scope), resolve_path(y, scope)
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            if diagram.may_alias(_spine(xpath, tl, i), _spine(ypath, tl, j)):
+            if masks.alias(_spine(xpath, tl, i), _spine(ypath, tl, j)):
                 return False
     return True
 
 
 def check_pairwise_heads(diagram, x, y, hd, tl, k, scope=None):
     """Heads of x and y may meet only at equal positions (0..k)."""
+    masks = RootMasks(diagram)
     xpath, ypath = resolve_path(x, scope), resolve_path(y, scope)
     for i in range(k + 1):
         for j in range(k + 1):
@@ -193,7 +259,7 @@ def check_pairwise_heads(diagram, x, y, hd, tl, k, scope=None):
                 continue
             a = _spine(xpath, tl, i) + (hd,)
             b = _spine(ypath, tl, j) + (hd,)
-            if diagram.may_alias(a, b):
+            if masks.alias(a, b):
                 return False
     return True
 
@@ -201,12 +267,13 @@ def check_pairwise_heads(diagram, x, y, hd, tl, k, scope=None):
 def check_fully_unaliased(diagram, y, hd, tl, k, scope=None):
     """Heads and proper tails of y are pairwise unaliased (distinct
     expressions only)."""
+    masks = RootMasks(diagram)
     ypath = resolve_path(y, scope)
     family = [_spine(ypath, tl, j) for j in range(1, k + 1)]
     family += [_spine(ypath, tl, i) + (hd,) for i in range(k + 1)]
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
-            if diagram.may_alias(a, b):
+            if masks.alias(a, b):
                 return False
     return True
 
@@ -220,19 +287,18 @@ def deutsch_report(engine, k=3):
     d2, s2 = _state_at(engine, "L2")
     d3, s3 = _state_at(engine, "L3")
     hd, tl = Label("hd"), Label("tl")
-    no_share = False
     xheads = [_spine(resolve_path("X", s2), tl, i) + (hd,) for i in range(k + 1)]
     yheads = [_spine(resolve_path("Y", s2), tl, j) + (hd,) for j in range(k + 1)]
-    for r in sorted(d2.roots):
-        xs = set()
-        for p in xheads:
-            xs |= d2.value_set(p, start=(r,))
-        ys = set()
-        for p in yheads:
-            ys |= d2.value_set(p, start=(r,))
-        if not (xs & ys):
-            no_share = True
-            break
+    masks = RootMasks(d2)
+    xs, ys = {}, {}
+    for heads, acc in ((xheads, xs), (yheads, ys)):
+        for p in heads:
+            for n, mask in masks.of(p).items():
+                acc[n] = acc.get(n, 0) | mask
+    # the roots under which some X head meets some Y head
+    sharing = 0
+    for n, mask in xs.items():
+        sharing |= mask & ys.get(n, 0)
     return {
         "k": k,
         "P1": check_acyclic(d2, "X", tl, k, s2) and check_acyclic(d2, "Y", tl, k, s2),
@@ -240,7 +306,7 @@ def deutsch_report(engine, k=3):
         "P3": check_tails_disjoint(d2, "X", "Y", tl, k, s2),
         "P4": check_pairwise_heads(d2, "X", "Y", hd, tl, k, s2),
         "P5": check_fully_unaliased(d3, "Y", hd, tl, k, s3),
-        "no_share_root": no_share,
+        "no_share_root": sharing != masks.all_bits,
     }
 
 

@@ -6,15 +6,16 @@ evaluator for loops working on raw edge triples, and an engine whose
 choices copy the whole diagram per branch instead of replaying deltas.
 Each exists so the engine's answers can be compared against something
 computed a different way.  The diagram helpers at the end (cloning,
-union, canonical forms for shape comparison) use only the diagram's
-public operations plus its id counter.
+union, canonical forms for shape comparison, per-root alias answers)
+use only the diagram's public operations plus its id counter.
 """
 
 import itertools
 import random
 
 from aliasgraph.calculus import Engine
-from aliasgraph.diagram import AliasDiagram, Label
+from aliasgraph.diagram import AliasDiagram, Label, format_name_path
+from aliasgraph.query import resolve_path
 
 # Structured instruction forms, shared by the generator, the renderer,
 # the interpreter, and the loop evaluator:
@@ -85,6 +86,20 @@ def gen_loop_program(seed):
         i, j = rng.randrange(nv), rng.randrange(nv)
         body.append(("void", i) if kind == "void" else (kind, i, j))
     return nv, prefix, body
+
+
+def wide_ring(seed, n, choices=6):
+    """A wide program as (nvars, block): ``n`` created locals linked in a
+    ring by ``.n``, then ``choices`` choices ``then vA.n := vB else vC :=
+    vD.n end`` with seeded indices.  It ends with up to 2^choices roots
+    and mentions 2n paths, every vi and vi.n."""
+    rng = random.Random(seed)
+    block = [("create", i) for i in range(n)]
+    block += [("write", i, (i + 1) % n) for i in range(n)]
+    for _ in range(choices):
+        a, b, c, d = (rng.randrange(n) for _ in range(4))
+        block.append(("choice", [("write", a, b)], [("read", c, d)]))
+    return n, block
 
 
 def render(nv, block):
@@ -394,3 +409,37 @@ def canonical_form(d, reachable_only=True):
         if best is None or enc < best:
             best = enc
     return best if best is not None else encode(base_order)
+
+
+# ---------------------------------------------------------------------------
+# per-root alias answers: one value set per root and path
+# ---------------------------------------------------------------------------
+
+
+def may_alias(d, p, q):
+    """True when some single root sees the two paths share a node."""
+    for r in d.roots:
+        vp = d.value_set(p, start=(r,))
+        if not vp:
+            continue
+        if vp & d.value_set(q, start=(r,)):
+            return True
+    return False
+
+
+def alias_pairs_reference(diagram, scope, name_paths):
+    """``query.alias_pairs`` computed root by root and pair by pair, in
+    O(U^2 R) for U paths and R roots: the reference the root masks are
+    checked against."""
+    resolved = {}
+    for np in name_paths:
+        text = format_name_path(np) if not isinstance(np, str) else np
+        resolved[text] = diagram.value_sets_by_root(resolve_path(text, scope))
+    names = sorted(resolved)
+    pairs = []
+    for i, p in enumerate(names):
+        for q in names[i + 1 :]:
+            vp, vq = resolved[p], resolved[q]
+            if any(vp[r] & vq[r] for r in diagram.roots):
+                pairs.append((p, q))
+    return pairs

@@ -5,11 +5,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aliasgraph
-from aliasgraph.diagram import Label
+from aliasgraph import query as query_module
+from aliasgraph.diagram import AliasDiagram, ExprUniverse, Label, format_name_path, label_path, parse_name_path
 from aliasgraph.query import (
     AliasQuery,
     QueryError,
@@ -24,8 +28,10 @@ from aliasgraph.query import (
     emit_dot,
     emit_json,
     query_alias,
+    resolve_path,
 )
 
+from oracles import alias_pairs_reference, may_alias
 from util import DEUTSCH_SRC, DISPATCH_SRC, FLOW_SRC, build, run
 
 
@@ -252,6 +258,187 @@ def test_copy_benchmark_properties_all_hold(copied_list):
     report = deutsch_report(copied_list, k=3)
     assert report["P1"] and report["P2"] and report["P3"] and report["P4"] and report["P5"]
     assert report["no_share_root"]
+
+
+# ---------------------------------------------------------------------------
+# root masks against the per-root reference
+# ---------------------------------------------------------------------------
+
+# X, Y and n are top-level locals of the scope, and n is also a field, so
+# a path starting with n must start at a root; T is a tagged local.
+MASK_SCOPE = {"X": Label("X"), "Y": Label("Y"), "n": Label("n"), "T": Label("T", 1)}
+MASK_LABELS = list(MASK_SCOPE.values()) + [HD, TL]
+HEADS = ["X", "Y", "n", "T"]
+FIELDS = ["n", "hd", "tl", "X"]
+
+
+@st.composite
+def worlds(draw):
+    """A diagram with 1 to 70 roots over a few shared nodes.  Each root
+    takes the out-edges of one of a few patterns, as worlds forked from
+    one another do; further edges leave any node for any node, so cycles
+    form, roots get in-edges and locals' labels leave non-roots too."""
+    g = AliasDiagram()
+    roots = [g.add_root() for _ in range(draw(st.integers(1, 70) | st.integers(60, 70)))]
+    ids = roots + [g.fresh_node() for _ in range(draw(st.integers(1, 6)))]
+    label = st.sampled_from(MASK_LABELS)
+    out_edges = st.lists(st.tuples(label, st.sampled_from(ids[-8:])), max_size=4)
+    patterns = draw(st.lists(out_edges, min_size=1, max_size=4))
+    for r in roots:
+        for lbl, t in patterns[draw(st.integers(0, len(patterns) - 1))]:
+            g.add_edge(lbl, r, t)
+    for lbl, s, t in draw(st.lists(st.tuples(label, st.sampled_from(ids), st.sampled_from(ids)), max_size=40)):
+        g.add_edge(lbl, s, t)
+    return g
+
+
+name_paths = st.tuples(st.sampled_from(HEADS), st.lists(st.sampled_from(FIELDS), max_size=3)).map(
+    lambda hf: (hf[0],) + tuple(hf[1])
+) | st.just(())
+
+
+def fake_engine(g, paths):
+    """What the query functions read of an engine, with the diagram as
+    the exit state and as the L2 and L3 snapshots."""
+    universe = ExprUniverse()
+    for p in paths:
+        universe.add(p)
+    return SimpleNamespace(
+        diagram=g,
+        report_scope=lambda: MASK_SCOPE,
+        universe=universe,
+        snapshots={"L2": (g, MASK_SCOPE), "L3": (g, MASK_SCOPE)},
+        snapshot_order=["L2", "L3"],
+    )
+
+
+def query_alias_reference(engine, query):
+    candidates = set(engine.universe)
+    if query.depth is not None:
+        candidates |= query_module._diagram_paths(engine.diagram, MASK_SCOPE, query.depth)
+    qpath = resolve_path(query.path, MASK_SCOPE)
+    qtext = format_name_path(parse_name_path(query.path))
+    return {
+        format_name_path(np)
+        for np in candidates
+        if format_name_path(np) != qtext and may_alias(engine.diagram, qpath, label_path(np, MASK_SCOPE))
+    }
+
+
+def checks_reference(g, x, y, k):
+    """The four checkers and the no-share root, one root and one pair at
+    a time."""
+    xp, yp = resolve_path(x, MASK_SCOPE), resolve_path(y, MASK_SCOPE)
+
+    def tail(base, i):
+        return base + (TL,) * i
+
+    def head(base, i):
+        return tail(base, i) + (HD,)
+
+    def alias(a, b):
+        return may_alias(g, a, b)
+
+    family = [tail(yp, j) for j in range(1, k + 1)] + [head(yp, i) for i in range(k + 1)]
+    X, Y = resolve_path("X", MASK_SCOPE), resolve_path("Y", MASK_SCOPE)
+    no_share = False
+    for r in sorted(g.roots):
+        xs = set().union(*(g.value_set(head(X, i), start=(r,)) for i in range(k + 1)))
+        ys = set().union(*(g.value_set(head(Y, j), start=(r,)) for j in range(k + 1)))
+        if not (xs & ys):
+            no_share = True
+            break
+    return {
+        "successive": not any(alias(head(yp, i), head(yp, i + 1)) for i in range(k)),
+        "tails": not any(alias(tail(xp, i), tail(yp, j)) for i in range(1, k + 1) for j in range(1, k + 1)),
+        "pairwise": not any(alias(head(xp, i), head(yp, j)) for i in range(k + 1) for j in range(k + 1) if i != j),
+        "unaliased": not any(alias(a, b) for i, a in enumerate(family) for b in family[i + 1 :]),
+        "no_share_root": no_share,
+    }
+
+
+@given(
+    worlds(),
+    st.lists(name_paths, max_size=12),
+    st.lists(st.booleans(), min_size=12, max_size=12),
+    name_paths,
+    st.integers(0, 2),
+    st.sampled_from(HEADS + ["Current"]),
+    st.sampled_from(HEADS + ["Current"]),
+    st.integers(0, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_root_masks_agree_with_the_per_root_reference(g, paths, as_text, qpath, extra, x, y, k):
+    # duplicates, the empty path and both input forms; the list need not
+    # be prefix-closed
+    mixed = [format_name_path(p) if text else p for p, text in zip(paths, as_text)]
+    mixed += [mixed[0]] if mixed else []
+    mixed += ["Current", ()]
+    assert alias_pairs(g, MASK_SCOPE, mixed) == alias_pairs_reference(g, MASK_SCOPE, mixed)
+
+    engine = fake_engine(g, paths)
+    for depth in (None, len(qpath) + extra):
+        q = AliasQuery(format_name_path(qpath), depth=depth)
+        assert query_alias(engine, q) == query_alias_reference(engine, q)
+
+    want = checks_reference(g, x, y, k)
+    assert check_successive_heads(g, y, HD, TL, k, MASK_SCOPE) == want["successive"]
+    assert check_tails_disjoint(g, x, y, TL, k, MASK_SCOPE) == want["tails"]
+    assert check_pairwise_heads(g, x, y, HD, TL, k, MASK_SCOPE) == want["pairwise"]
+    assert check_fully_unaliased(g, y, HD, TL, k, MASK_SCOPE) == want["unaliased"]
+    assert deutsch_report(engine, k)["no_share_root"] == want["no_share_root"]
+
+
+@pytest.mark.parametrize("nroots,second", [(2, 1), (70, 64)])
+def test_masks_of_different_roots_never_make_a_pair(nroots, second):
+    # a reaches n only under r1 and b reaches n only under r2, while both
+    # have values under both roots: or-ing a path's masks across nodes
+    # before intersecting would pair them, and so would giving r2 the
+    # bit of r1 (bits 0 and 64)
+    g = AliasDiagram()
+    roots = [g.add_root() for _ in range(nroots)]
+    r1, r2 = roots[0], roots[second]
+    n, m1, m2 = g.fresh_node(), g.fresh_node(), g.fresh_node()
+    a, b = Label("a"), Label("b")
+    g.add_edge(a, r1, n)
+    g.add_edge(b, r1, m1)
+    g.add_edge(a, r2, m2)
+    g.add_edge(b, r2, n)
+    assert alias_pairs(g, {}, ["a", "b"]) == alias_pairs_reference(g, {}, ["a", "b"]) == []
+    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",), ("b",)}))
+    assert query_alias(engine, AliasQuery("a")) == set()
+    assert query_alias(engine, AliasQuery("b", depth=1)) == set()
+    g.add_edge(b, r1, n)
+    assert alias_pairs(g, {}, ["a", "b"]) == [("a", "b")]
+
+
+def test_paths_far_longer_than_the_recursion_limit_resolve():
+    # a on a one-node .n cycle: every a.n...n denotes that node, and a
+    # depth bound walks the cycle as deep as it allows
+    g = AliasDiagram()
+    r, x = g.add_root(), g.fresh_node()
+    g.add_edge(Label("a"), r, x)
+    g.add_edge(Label("n"), x, x)
+    long = "a" + ".n" * 2000
+    assert alias_pairs(g, {}, [long, "a"]) == alias_pairs_reference(g, {}, [long, "a"]) == [("a", long)]
+    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",)}))
+    assert query_alias(engine, AliasQuery(long)) == {"a"}
+    assert len(query_alias(engine, AliasQuery("a", depth=1500))) == 1499
+
+
+def test_no_share_root_needs_one_root_without_sharing():
+    # X and Y heads meet under r1 only: r2 is a root where they share nothing
+    g = AliasDiagram()
+    r1, r2 = g.add_root(), g.add_root()
+    x1, y1, x2, y2, h, h2, h3 = (g.fresh_node() for _ in range(7))
+    for lbl, s, t in [("X", r1, x1), ("Y", r1, y1), ("hd", x1, h), ("hd", y1, h),
+                      ("X", r2, x2), ("Y", r2, y2), ("hd", x2, h2), ("hd", y2, h3)]:
+        g.add_edge(Label(lbl), s, t)
+    engine = fake_engine(g, [])
+    assert deutsch_report(engine, 1)["no_share_root"] is True
+    g.add_edge(HD, y2, h2)
+    assert deutsch_report(engine, 1)["no_share_root"] is False
+    assert checks_reference(g, "X", "Y", 1)["no_share_root"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Same answers beyond the corpus: scaled programs against frozen pairs.
 
 ``scaled/`` holds copies of four programs from the benchmark generators
-in ``bench/workloads.py`` (each entry of ``frozen.json`` names its
-generator call) and the final alias pairs an analysis gave for them
-before the diagram was indexed, when the four together took about 23 s.
-Each program's sha256 is frozen with its pairs, so a changed copy fails
-instead of being checked against answers for another program.
+in ``bench/workloads.py`` and the final alias pairs an analysis gave for
+them before the diagram was indexed, when the four together took about
+23 s.  A fifth, from ``oracles.wide_ring``, has 64 roots and 400 paths;
+its pairs were frozen before alias pairs were computed with root masks,
+when its report took about 1.2 s.  Each entry of ``frozen.json`` names
+its generator call.  Each program's sha256 is frozen with its pairs, so
+a changed copy fails instead of being checked against answers for
+another program.
 """
 
 import hashlib

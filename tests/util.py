@@ -4,7 +4,7 @@ from aliasgraph.calculus import AnalysisConfig, Engine
 from aliasgraph.diagram import AliasDiagram, Label
 from aliasgraph.lang import parse_program, resolve
 
-from oracles import canonical_form
+from oracles import canonical_form, may_alias
 
 # The list-copy benchmark: a recursive structural copy of a linked list,
 # with the program points the reports and property checks refer to.
@@ -106,7 +106,7 @@ def path(expr):
 
 
 def aliased(engine, p, q):
-    return engine.diagram.may_alias(path(p), path(q))
+    return may_alias(engine.diagram, path(p), path(q))
 
 
 def values(engine, p):
