@@ -12,9 +12,14 @@ The engine walks a routine body and rewrites one shared diagram in place:
     covers every iteration count including zero;
   * calls bind formals to the actuals' value sets, analyze the callee
     body in a fresh activation, then scope the callee's names back out;
-    qualified calls reroot the diagram into the target objects first,
-    leaving primed back-pointer edges so the caller's variables stay
-    expressible, and restore everything on exit;
+    qualified calls reroot the diagram into the target objects first and
+    restore the caller's roots on exit.  Actuals are evaluated once, at
+    the call site, per world: a callee root gets the values of the
+    caller worlds whose receiver it is, so no back-pointer edges are
+    needed and binding does not merge the caller's worlds.  The caller
+    worlds' roots and receivers stay on a stack for the call's duration,
+    so copy on write inside the callee still sees which worlds read a
+    node it overwrites;
   * dynamically bound calls become a choice over every routine version
     the receiver's static type admits.
 
@@ -124,6 +129,16 @@ class _FixpointScope:
 
 
 @dataclass
+class _CallerWorlds:
+    """The caller side of one active qualified call: its target path, in
+    the caller's scope, and each caller root's receiver objects at the
+    call.  The keys are the roots the call reroots back onto."""
+
+    target: Tuple[Label, ...]
+    receivers: Dict[NodeId, FrozenSet[NodeId]]
+
+
+@dataclass
 class _Frame:
     """One activation on the analysis call stack."""
 
@@ -131,7 +146,8 @@ class _Frame:
     context_key: tuple
     act: int
     targets: FrozenSet[NodeId]
-    actual_paths: List[Optional[Tuple[Label, ...]]]
+    # per actual: callee root -> the actual's values there (None: Void)
+    actuals: List[Optional[Dict[NodeId, FrozenSet[NodeId]]]]
     acc: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
     dirty: bool = False
     # the routine's own names, tagged with this activation
@@ -158,7 +174,8 @@ class Engine:
         self.fix_stack: List[_FixpointScope] = []
         self.call_stack: List[_Frame] = []
         self.lineage: Dict[NodeId, Tuple[NodeId, FrozenSet[Tuple[int, int]]]] = {}
-        self.closed_acts: Set[int] = set()
+        # one entry per active qualified call, innermost last
+        self.caller_roots: List[_CallerWorlds] = []
         self._next_act = 0
         self.entry_name: Optional[str] = None
         self.entry_frame: Optional[_Frame] = None
@@ -358,7 +375,7 @@ class Engine:
 
         Returns (copies, weak): the original-to-copy map, and the owners
         that stay shared and therefore only tolerate a weak update.
-        Both are empty when no other root sees the owners, so the whole
+        Both are empty when no other world sees the owners, so the whole
         update can land in place.
 
         The copied region is the contested owners' ancestor cone inside
@@ -368,6 +385,15 @@ class Engine:
         the copies carries the whole region over in one pass; nothing
         outside the cone can point into it from the group's side, and
         every other root keeps the originals untouched.
+
+        Inside a qualified call the caller's worlds are not roots, yet
+        they read the heap the callee writes.  Their roots join the
+        walks by the side they take (see ``_caller_sides``): those whose
+        worlds all make this update walk with the group, the others
+        with the other worlds, and the mixed ones with both.  A caller
+        root is never rewired, since the call cannot fork its world, so
+        when one of the group's caller roots points straight into the
+        region to copy, the contested owners are updated weakly.
 
         Every path from a root into an owner runs through the owners'
         ancestors, so both reaches are walked inside that set only.
@@ -380,15 +406,17 @@ class Engine:
         """
         g = self.diagram
         ancestors = g.ancestors(owners)
-        roots_outside = g.roots - set(class_roots)
+        mine, mixed, others = self._caller_sides(class_roots, ancestors)
+        roots_outside = (g.roots - set(class_roots)) | mixed | others
         reach_others = g.reach_within(roots_outside, ancestors)
         contested = {o for o in owners if o in reach_others}
         if not contested:
             return {}, frozenset()
-        forkable = {o for o in contested if o not in g.roots}
+        all_roots = g.roots | mine | mixed | others
+        forkable = {o for o in contested if o not in all_roots}
         if self.fix_stack or not forkable:
             return {}, frozenset(contested)
-        reach_mine = g.reach_within(class_roots, ancestors)
+        reach_mine = g.reach_within(set(class_roots) | mine | mixed, ancestors)
         cone = set(forkable)
         work = list(forkable)
         while work:
@@ -396,7 +424,9 @@ class Engine:
                 if s in reach_mine and s not in cone:
                     cone.add(s)
                     work.append(s)
-        shared = {n for n in cone if n in reach_others and n not in g.roots}
+        shared = {n for n in cone if n in reach_others and n not in all_roots}
+        if any(s in mine or s in mixed for n in shared for _, s in g.in_edges(n)):
+            return {}, frozenset(contested)
         copies = {}
         for orig in sorted(shared):
             copies[orig] = g.fresh_node()
@@ -418,6 +448,41 @@ class Engine:
             self._remove(l, s, t)
             self._add(l, s, copies[t])
         return copies, frozenset(contested - forkable)
+
+    def _caller_sides(self, class_roots, ancestors):
+        """Sort the roots of the caller worlds of every active qualified
+        call by whether their worlds make the update ``class_roots`` are
+        about to make: (mine, mixed, others).
+
+        A caller root's worlds are its receivers one level in: the ones
+        it had at the call, and those its target path reaches now (a
+        choice inside the callee clones receivers, and the clones
+        inherit the caller's edges).  It is mine when every one of them
+        makes the update, other when none does (a void receiver makes
+        none), and mixed otherwise.  Outer calls sort their roots by the
+        sides of the next call's roots.  Only caller roots among the
+        owners' ancestors can reach an owner, so with none there the
+        walk is skipped.
+        """
+        g = self.diagram
+        if not any(r in ancestors for c in self.caller_roots for r in c.receivers):
+            return set(), set(), set()
+        mine, mixed, others = set(), set(), set()
+        inner, inner_mine, inner_mixed = g.roots, set(class_roots), set()
+        for c in reversed(self.caller_roots):
+            level_mine, level_mixed = set(), set()
+            for r, at_call in c.receivers.items():
+                worlds = (at_call | g.value_set(c.target, start=(r,))) & inner
+                if worlds and worlds <= inner_mine:
+                    level_mine.add(r)
+                elif worlds & (inner_mine | inner_mixed):
+                    level_mixed.add(r)
+                else:
+                    others.add(r)
+            mine |= level_mine
+            mixed |= level_mixed
+            inner, inner_mine, inner_mixed = set(c.receivers), level_mine, level_mixed
+        return mine, mixed, others
 
     def apply_create(self, instr, frame):
         node = self._creation_node(id(instr))
@@ -601,16 +666,17 @@ class Engine:
         """
         scope = _FixpointScope()
         self.fix_stack.append(scope)
-        scope.union_edges |= self.diagram.edge_set()
-        seen = {self._state_key()}
+        key = self._state_key()
+        scope.union_edges |= key[0]
+        seen = {key}
         while True:
             if scope.iterations == self.config.max_iters:
                 self._diag("error", overflow_message, pos)
                 break
             scope.iterations += 1
             step()
-            scope.union_edges |= self.diagram.edge_set()
             key = self._state_key()
+            scope.union_edges |= key[0]
             if key in seen:
                 break
             seen.add(key)
@@ -620,10 +686,11 @@ class Engine:
     def _state_key(self):
         # Node identity matters: a fresh creation changes the key for
         # good, so orbit detection can only trigger once per-site caps
-        # have made the step stationary.
+        # have made the step stationary.  No rule removes a node, so the
+        # node count identifies the node set.
         return (
             self.diagram.edge_set(),
-            frozenset(self.diagram.nodes),
+            len(self.diagram.nodes),
             frozenset(self.diagram.roots),
         )
 
@@ -632,10 +699,12 @@ class Engine:
         # iteration-boundary state had come back.  Edges that only lived
         # mid-pass do not: no iteration count ever exhibits them.  Names
         # of activations that closed meanwhile stay out (their scopes no
-        # longer exist), as do call-return markers of finished calls.
+        # longer exist); every activation opened inside the fixpoint has
+        # closed by now, so those are the tags no live frame carries.
+        live = {fr.act for fr in self.call_stack}
         missing = scope.union_edges - self.diagram.edge_set()
         for (l, s, t) in sorted(missing):
-            if l.tag in self.closed_acts or l.prime:
+            if l.tag and l.tag not in live:
                 continue
             self._add(l, s, t)
 
@@ -650,23 +719,31 @@ class Engine:
             if version is None:
                 self._diag("error", "unknown routine %r" % call.name, pos)
                 return
-            actual_paths = self._caller_actuals(call, frame, pos)
-            result = self._call_on_targets(version, actual_paths, frozenset(self.diagram.roots), pos)
+            roots = frozenset(self.diagram.roots)
+            actuals = self._caller_actuals(call, frame, pos, {r: (r,) for r in roots})
+            result = self._call_on_targets(version, actuals, roots, pos)
             if assign_target is not None:
                 self._relink_target(assign_target, result, frame, pos)
             return
         self._qualified_call(call, frame, assign_target, pos)
 
-    def _caller_actuals(self, call, frame, pos):
-        paths = []
+    def _caller_actuals(self, call, frame, pos, receivers):
+        """Each actual's values per callee root: the union of its value
+        sets in the caller worlds whose ``receivers`` hold that root."""
+        maps = []
         for a in call.actuals:
             if a is None:
-                paths.append(None)
-            else:
-                labels = label_path(a, frame.scope)
-                self._check_void_prefix(a, labels, pos)
-                paths.append(labels)
-        return paths
+                maps.append(None)
+                continue
+            labels = label_path(a, frame.scope)
+            self._check_void_prefix(a, labels, pos)
+            per_root = self.diagram.value_sets_by_root(labels)
+            bound: Dict[NodeId, FrozenSet[NodeId]] = {}
+            for r, objs in receivers.items():
+                for o in objs:
+                    bound[o] = bound.get(o, frozenset()) | per_root[r]
+            maps.append(bound)
+        return maps
 
     def _qualified_call(self, call, frame, assign_target, pos):
         static_t = self._static_type(call.target, frame)
@@ -694,22 +771,11 @@ class Engine:
         if not callee_roots:
             self._diag("error", "call target '%s' is definitely void" % ".".join(call.target), pos)
             return
-        actual_paths = self._caller_actuals(call, frame, pos)
-        # transpose the caller's context into the callee's: every target
-        # object gets a primed back-pointer to the current roots, and the
-        # actuals are re-expressed through it
-        back = Label(".".join(call.target), prime=len(self.call_stack))
-        for o in sorted(callee_roots):
-            for r in sorted(self.diagram.roots):
-                self._add(back, o, r)
-        saved_roots = self.diagram.reroot(callee_roots)
-        rewritten = [None if p is None else (back,) + p for p in actual_paths]
-        result = self._call_on_targets(version, rewritten, frozenset(callee_roots), pos)
-        self.diagram.reroot(saved_roots)
-        # back-pointers may have been copied onto branch clones inside
-        # the callee, so sweep by label rather than by target object
-        for s, t in sorted(self.diagram.label_edges(back)):
-            self._remove(back, s, t)
+        actuals = self._caller_actuals(call, frame, pos, owners_by_root)
+        self.diagram.reroot(callee_roots)
+        self.caller_roots.append(_CallerWorlds(target_labels, owners_by_root))
+        result = self._call_on_targets(version, actuals, frozenset(callee_roots), pos)
+        self.diagram.reroot(self.caller_roots.pop().receivers)
         if assign_target is not None:
             # re-read the target's owners: choices inside the callee may
             # have grown them with branch clones carrying result values
@@ -722,23 +788,20 @@ class Engine:
                 caller_result[r] = frozenset(vals)
             self._relink_target(assign_target, caller_result, frame, pos)
 
-    def _call_on_targets(self, version, actual_paths, targets, pos):
+    def _call_on_targets(self, version, actuals, targets, pos):
         """Analyze one routine version against the current roots.
 
         Returns the per-root result value sets (empty for procedures).
         """
-        actuals_key = tuple(
-            frozenset(self.diagram.value_set(p)) if p is not None else None
-            for p in actual_paths
-        )
+        actuals_key = tuple(None if m is None else frozenset().union(*m.values()) for m in actuals)
         context_key = (id(version), targets, actuals_key)
 
         for fr in reversed(self.call_stack):
             if fr.context_key == context_key:
-                return self._recursive_cutoff(fr, actual_paths)
+                return self._recursive_cutoff(fr, actuals)
         same_routine = [fr for fr in self.call_stack if fr.version is version]
         if len(same_routine) >= UNROLL_LIMIT:
-            return self._recursive_cutoff(same_routine[-1], actual_paths)
+            return self._recursive_cutoff(same_routine[-1], actuals)
 
         self._next_act += 1
         act = self._next_act
@@ -747,7 +810,7 @@ class Engine:
             context_key=context_key,
             act=act,
             targets=targets,
-            actual_paths=list(actual_paths),
+            actuals=actuals,
         )
         self.call_stack.append(new_frame)
         self._bind_formals(new_frame)
@@ -758,28 +821,25 @@ class Engine:
         result = {r: frozenset(vs) for r, vs in new_frame.acc.items()}
         self._unbind_activation(act)
         self.call_stack.pop()
-        self.closed_acts.add(act)
         return result
 
-    def _recursive_cutoff(self, fr, actual_paths):
+    def _recursive_cutoff(self, fr, actuals):
         # an already-active context absorbs the call: feed it the new
         # actuals (additively) and answer with what it has produced so far
         fr.dirty = True
-        self._bind_formals(fr, frame_override_paths=actual_paths)
+        self._bind_formals(fr, actuals)
         return {r: frozenset(fr.acc.get(r, ())) for r in self.diagram.roots}
 
-    def _bind_formals(self, fr, frame_override_paths=None):
-        paths = fr.actual_paths if frame_override_paths is None else frame_override_paths
-        staged = []
-        for (fname, _), p in zip(fr.version.formals, paths):
-            if p is None:
+    def _bind_formals(self, fr, actuals=None):
+        # the values were taken at the call site, keyed by the call's
+        # target roots, which are roots for as long as the call runs
+        for (fname, _), bound in zip(fr.version.formals, fr.actuals if actuals is None else actuals):
+            if bound is None:
                 continue
             flabel = Label(fname, fr.act)
-            for r in sorted(self.diagram.roots):
-                for v in sorted(self.diagram.value_set(p, start=(r,))):
-                    staged.append((flabel, r, v))
-        for e in staged:
-            self._add(*e)
+            for r in sorted(bound):
+                for v in sorted(bound[r]):
+                    self._add(flabel, r, v)
 
     def _accumulate_result(self, fr):
         if not fr.version.is_function():
@@ -840,7 +900,7 @@ class Engine:
             context_key=(id(version), frozenset({root}), ()),
             act=0,
             targets=frozenset({root}),
-            actual_paths=[],
+            actuals=[],
         )
         if version.formals:
             self._diag(

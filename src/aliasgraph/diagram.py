@@ -48,22 +48,22 @@ NodeId = int
 
 
 class Label(NamedTuple):
-    """An edge label: a program name plus analysis-internal qualifiers.
+    """An edge label: a program name plus an activation tag.
 
     ``tag`` distinguishes the routine-local names of one activation from
     another's (0 for object fields and for names of the entry routine's
-    own scope that were installed with tag 0).  ``prime`` marks synthetic
-    back-pointers installed for the duration of a qualified call; the
-    value records the call nesting depth so nested calls do not collide.
-    Labels order and hash as the tuple of their fields.
+    own scope that were installed with tag 0).  Labels order and hash as
+    the tuple of their fields.
+
+    ``prime`` is always 0: the analysis binds a qualified call's actuals
+    per world and installs no back-pointer labels, so nothing here sets
+    or reads it.  It stays only because the benchmark's reference path
+    walk (``bench/workloads.py``, ``PathWalk``) still reads it.
     """
 
     name: str
     tag: int = 0
     prime: int = 0
-
-    def display(self) -> str:
-        return self.name + "'" * min(self.prime, 3) if self.prime else self.name
 
 
 Edge = Tuple[Label, NodeId, NodeId]

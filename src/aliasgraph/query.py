@@ -145,8 +145,6 @@ def _diagram_paths(diagram, scope, depth):
         for n in nodes:
             labels |= diagram.labels_at(n)
         for lbl in sorted(labels):
-            if lbl.prime:
-                continue  # internal back-pointers are not source syntax
             if lbl.tag and (trail or lbl not in by_label):
                 continue  # scoped names only start a path, and only in scope
             nxt = frozenset().union(*(diagram.successors(n, lbl) for n in nodes))
@@ -358,8 +356,8 @@ def emit_json(report) -> bytes:
 
 
 def emit_dot(diagram, scope=None) -> bytes:
-    """A deterministic DOT drawing: roots double-circled, internal
-    back-pointer edges dashed."""
+    """A deterministic DOT drawing: roots double-circled, each edge
+    labeled with its name (scoped names as ``scope`` spells them)."""
     by_label = {}
     for name, lbl in (scope or {}).items():
         by_label[lbl] = name
@@ -371,12 +369,8 @@ def emit_dot(diagram, scope=None) -> bytes:
         lines.append("  n%d [%s];" % (n, ", ".join(attrs)))
     def edge_key(e):
         lbl, s, t = e
-        return (s, lbl.display(), t)
+        return (s, lbl.name, t)
     for (lbl, s, t) in sorted(diagram.edge_set(), key=edge_key):
-        shown = by_label.get(lbl, lbl.display())
-        attrs = ['label="%s"' % shown]
-        if lbl.prime:
-            attrs.append("style=dashed")
-        lines.append("  n%d -> n%d [%s];" % (s, t, ", ".join(attrs)))
+        lines.append('  n%d -> n%d [label="%s"];' % (s, t, by_label.get(lbl, lbl.name)))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

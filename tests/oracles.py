@@ -278,10 +278,10 @@ class CloningEngine(Engine):
         cursor = max(w._next_id for w in worlds)
         for w in worlds[1:]:
             w._next_id = cursor
-            # the roots an active qualified call will reroot back onto
-            # (its primed back-pointers' targets) keep their ids, or
-            # this world would be left behind when the call returns
-            renamed, _ = clone(w, keep={t for label, _, t in w.edges() if label.prime})
+            # the roots active qualified calls will reroot back onto
+            # keep their ids, or this world would be left behind when
+            # the calls return
+            renamed, _ = clone(w, keep=frozenset().union(*(c.receivers for c in self.caller_roots)))
             cursor = renamed._next_id
             merged._next_id = cursor
             union(merged, renamed)
@@ -383,7 +383,7 @@ def canonical_form(d, reachable_only=True):
 
     def encode(order):
         return (
-            tuple(sorted((l.display(), l.tag, order[s], order[t]) for l, s, t in edges)),
+            tuple(sorted((l.name, l.tag, order[s], order[t]) for l, s, t in edges)),
             tuple(sorted(order[r] for r in d.roots if r in node_set)),
         )
 

@@ -344,7 +344,7 @@ def test_second_call_overrides_the_first():
 def test_formal_and_local_names_leave_no_trace_after_the_call():
     e = run(RECEIVER % "set_x (a)", entry="M.run")
     for (lbl, _, _) in e.diagram.edge_set():
-        assert lbl.tag == 0 and lbl.prime == 0
+        assert lbl.tag == 0
 
 
 def test_callee_local_shadowing_caller_name_is_kept_apart():
@@ -628,6 +628,56 @@ QUALIFIED_CHOICE_SRC = (
     "main local o: M p: M q: M y: M do create o create p create q o.pick (p, q) y := o.x end"
 )
 
+# two worlds pass different actuals to different receivers: each receiver
+# must take only its own world's actual
+PER_WORLD_ACTUALS_SRC = (
+    "class M feature x: M set (v: M) do x := v end end\n"
+    "main local o: M a: M b: M p: M q: M c: M do create p create q"
+    " then create o a := p b := q else create o a := q b := p end"
+    " o.set (a) c := o.x end"
+)
+
+
+# two caller worlds share n; only the first passes it to its receiver,
+# which writes n.f, so the second world must keep reading n.f = y
+SHARED_CALLER_HEAP_SRC = (
+    "class M feature f: M touch (v: M) do v.f := Current end end\n"
+    "main local o: M a: M n: M m: M y: M do create n create m create y n.f := y"
+    " then create o a := n else create o a := m end o.touch (a) end"
+)
+
+# the same write behind a choice inside the callee, behind a second,
+# nested qualified call, and after a choice in the callee has cloned the
+# receiver (the caller world then runs both the clone, which writes p,
+# and the original, which writes n)
+SHARED_CALLER_HEAP_VARIANTS = [
+    "class M feature f: M g: M touch (v: M) do then g := v else v.f := Current end end end\n"
+    "main local o: M a: M n: M m: M y: M do create n create m create y n.f := y"
+    " then create o a := n else create o a := m end o.touch (a) end",
+    "class M feature f: M k: M touch (v: M) do v.f := Current end go (v: M) do k.touch (v) end end\n"
+    "main local o: M a: M n: M m: M y: M do create n create m create y n.f := y"
+    " then create o o.k := o a := n else create o o.k := o a := m end o.go (a) end",
+    "class M feature f: M k: M touch (w: M) do then skip else k := w end k.f := Current end end\n"
+    "main local o: M n: M y: M p: M do create n create y create p n.f := y create o o.k := n o.touch (p) end",
+]
+
+
+def test_qualified_call_binds_each_receiver_to_its_own_worlds_actuals():
+    e = run(PER_WORLD_ACTUALS_SRC)
+    assert aliased(e, "a", "o.x")
+    assert not aliased(e, "b", "o.x")
+    assert not aliased(e, "b", "c")
+
+
+def test_callee_write_keeps_caller_worlds_that_share_the_owner():
+    e = run(SHARED_CALLER_HEAP_SRC)
+    assert aliased(e, "y", "n.f")
+    assert aliased(e, "n.f", "o")
+    for source in SHARED_CALLER_HEAP_VARIANTS:
+        e = run(source)
+        assert aliased(e, "y", "n.f"), source
+        assert aliased(e, "n.f", "o"), source
+
 
 def test_clone_mode_agrees_with_replay_on_a_branchy_program():
     src = (
@@ -643,7 +693,12 @@ def test_clone_mode_agrees_with_replay_on_a_branchy_program():
             assert aliased(fast, p, q) == aliased(slow, p, q), (p, q)
     # calls fork through the same step: plain calls, qualified calls
     # (rerooting), recursion and dynamic dispatch
-    for source, entry in [(DISPATCH_SRC, "main"), (QUALIFIED_CHOICE_SRC, "main")] + corpus_sources():
+    cases = [
+        (source, "main")
+        for source in [DISPATCH_SRC, QUALIFIED_CHOICE_SRC, PER_WORLD_ACTUALS_SRC, SHARED_CALLER_HEAP_SRC]
+        + SHARED_CALLER_HEAP_VARIANTS
+    ]
+    for source, entry in cases + corpus_sources():
         fast = run(source, entry=entry)
         slow = run(source, entry=entry, engine=CloningEngine)
         universe = list(fast.universe)

@@ -328,8 +328,6 @@ def test_label_orders_and_hashes_as_its_fields():
         Label("b"),
     ]
     assert hash(Label("a", 1, 2)) == hash(("a", 1, 2))
-    assert Label("n", prime=2).display() == "n''"
-    assert Label("n", tag=3).display() == "n"
 
 
 # -- documentation ------------------------------------------------------------------

@@ -505,14 +505,6 @@ def test_dot_single_root_no_edges():
     assert " -> " not in text
 
 
-def test_dot_marks_internal_edges_dashed():
-    d = build([0], [("x", 0, 1)])
-    d.add_edge(Label("t", prime=1), 1, 0)
-    text = emit_dot(d).decode()
-    assert "style=dashed" in text
-    assert "t'" in text
-
-
 def test_dot_on_analysis_result(copied_list):
     snap, scope = copied_list.snapshots["L2"]
     text = emit_dot(snap, scope).decode()
