@@ -10,16 +10,13 @@ The engine walks a routine body and rewrites one shared diagram in place:
   * loops iterate the body until the state revisits one already seen,
     then keep the union of all iteration-boundary states, so the result
     covers every iteration count including zero;
-  * calls bind formals to the actuals' value sets, analyze the callee
-    body in a fresh activation, then scope the callee's names back out;
-    qualified calls reroot the diagram into the target objects first and
-    restore the caller's roots on exit.  Actuals are evaluated once, at
-    the call site, per world: a callee root gets the values of the
-    caller worlds whose receiver it is, so no back-pointer edges are
-    needed and binding does not merge the caller's worlds.  The caller
-    worlds' roots and receivers stay on a stack for the call's duration,
-    so copy on write inside the callee still sees which worlds read a
-    node it overwrites;
+  * calls bind formals to the actuals' value sets, taken once at the
+    call site in each world, analyze the callee body in a fresh
+    activation, then scope the callee's names back out.  A qualified
+    call also binds the activation's ``Current`` from each root to that
+    world's receivers, and the callee's field names resolve through it
+    (the paper's rule makes the receivers the roots instead), so every
+    world keeps its own root through the call;
   * dynamically bound calls become a choice over every routine version
     the receiver's static type admits.
 
@@ -40,11 +37,12 @@ fixpoint are memoized per (choice, branch, root) so re-executions reuse
 them instead of minting more.
 
 Recursive calls descend while their context is new.  A context is the
-routine plus its target objects plus the actuals' value sets; when an
-identical context is already on the stack (or the per-routine unroll
-allowance runs out), the engine binds the actuals into that frame,
-returns its accumulated result values, and marks it dirty: when the
-dirty frame's own body finishes, it is re-analyzed to a fixpoint.
+routine plus its receivers (unqualified: the roots and the caller's
+``Current``) plus the actuals' value sets; when an identical context is
+already on the stack (or the per-routine unroll allowance runs out), the
+engine binds the receivers and actuals into that frame, returns its
+accumulated result values, and marks it dirty: when the dirty frame's
+own body finishes, it is re-analyzed to a fixpoint.
 """
 
 from __future__ import annotations
@@ -129,25 +127,17 @@ class _FixpointScope:
 
 
 @dataclass
-class _CallerWorlds:
-    """The caller side of one active qualified call: its target path, in
-    the caller's scope, and each caller root's receiver objects at the
-    call.  The keys are the roots the call reroots back onto."""
-
-    target: Tuple[Label, ...]
-    receivers: Dict[NodeId, FrozenSet[NodeId]]
-
-
-@dataclass
 class _Frame:
     """One activation on the analysis call stack."""
 
     version: RoutineDecl
     context_key: tuple
     act: int
-    targets: FrozenSet[NodeId]
-    # per actual: callee root -> the actual's values there (None: Void)
-    actuals: List[Optional[Dict[NodeId, FrozenSet[NodeId]]]]
+    # the ``Current`` fields resolve through: a qualified call's own,
+    # else the caller's; None while the current object is the root
+    current: Optional[Label] = None
+    # root -> values: the receivers (None: kept), then each actual's
+    bindings: List[Optional[Dict[NodeId, FrozenSet[NodeId]]]] = field(default_factory=list)
     acc: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
     dirty: bool = False
     # the routine's own names, tagged with this activation
@@ -155,6 +145,8 @@ class _Frame:
 
     def __post_init__(self):
         self.scope = {name: Label(name, self.act) for name in self.version.var_types()}
+        if self.current is not None:
+            self.scope["Current"] = self.current
 
 
 class Engine:
@@ -174,8 +166,6 @@ class Engine:
         self.fix_stack: List[_FixpointScope] = []
         self.call_stack: List[_Frame] = []
         self.lineage: Dict[NodeId, Tuple[NodeId, FrozenSet[Tuple[int, int]]]] = {}
-        # one entry per active qualified call, innermost last
-        self.caller_roots: List[_CallerWorlds] = []
         self._next_act = 0
         self.entry_name: Optional[str] = None
         self.entry_frame: Optional[_Frame] = None
@@ -304,9 +294,11 @@ class Engine:
 
     def _check_void_prefix(self, names, labels, pos):
         # a strict prefix with an empty value set means the tail
-        # dereferences a definitely void reference
-        for i in range(1, len(labels)):
-            if not self.diagram.value_set(labels[:i]):
+        # dereferences a definitely void reference.  ``labels`` may start
+        # with the receiver's ``Current``, which ``names`` leaves implicit
+        skip = len(labels) - len(names)
+        for i in range(1, len(names)):
+            if not self.diagram.value_set(labels[: skip + i]):
                 self._diag(
                     "warning",
                     "'%s' is definitely void here; '%s' has no value" % (".".join(names[:i]), ".".join(names)),
@@ -386,15 +378,6 @@ class Engine:
         outside the cone can point into it from the group's side, and
         every other root keeps the originals untouched.
 
-        Inside a qualified call the caller's worlds are not roots, yet
-        they read the heap the callee writes.  Their roots join the
-        walks by the side they take (see ``_caller_sides``): those whose
-        worlds all make this update walk with the group, the others
-        with the other worlds, and the mixed ones with both.  A caller
-        root is never rewired, since the call cannot fork its world, so
-        when one of the group's caller roots points straight into the
-        region to copy, the contested owners are updated weakly.
-
         Every path from a root into an owner runs through the owners'
         ancestors, so both reaches are walked inside that set only.
 
@@ -406,17 +389,15 @@ class Engine:
         """
         g = self.diagram
         ancestors = g.ancestors(owners)
-        mine, mixed, others = self._caller_sides(class_roots, ancestors)
-        roots_outside = (g.roots - set(class_roots)) | mixed | others
+        roots_outside = g.roots - set(class_roots)
         reach_others = g.reach_within(roots_outside, ancestors)
         contested = {o for o in owners if o in reach_others}
         if not contested:
             return {}, frozenset()
-        all_roots = g.roots | mine | mixed | others
-        forkable = {o for o in contested if o not in all_roots}
+        forkable = {o for o in contested if o not in g.roots}
         if self.fix_stack or not forkable:
             return {}, frozenset(contested)
-        reach_mine = g.reach_within(set(class_roots) | mine | mixed, ancestors)
+        reach_mine = g.reach_within(class_roots, ancestors)
         cone = set(forkable)
         work = list(forkable)
         while work:
@@ -424,9 +405,7 @@ class Engine:
                 if s in reach_mine and s not in cone:
                     cone.add(s)
                     work.append(s)
-        shared = {n for n in cone if n in reach_others and n not in all_roots}
-        if any(s in mine or s in mixed for n in shared for _, s in g.in_edges(n)):
-            return {}, frozenset(contested)
+        shared = {n for n in cone if n in reach_others and n not in g.roots}
         copies = {}
         for orig in sorted(shared):
             copies[orig] = g.fresh_node()
@@ -448,41 +427,6 @@ class Engine:
             self._remove(l, s, t)
             self._add(l, s, copies[t])
         return copies, frozenset(contested - forkable)
-
-    def _caller_sides(self, class_roots, ancestors):
-        """Sort the roots of the caller worlds of every active qualified
-        call by whether their worlds make the update ``class_roots`` are
-        about to make: (mine, mixed, others).
-
-        A caller root's worlds are its receivers one level in: the ones
-        it had at the call, and those its target path reaches now (a
-        choice inside the callee clones receivers, and the clones
-        inherit the caller's edges).  It is mine when every one of them
-        makes the update, other when none does (a void receiver makes
-        none), and mixed otherwise.  Outer calls sort their roots by the
-        sides of the next call's roots.  Only caller roots among the
-        owners' ancestors can reach an owner, so with none there the
-        walk is skipped.
-        """
-        g = self.diagram
-        if not any(r in ancestors for c in self.caller_roots for r in c.receivers):
-            return set(), set(), set()
-        mine, mixed, others = set(), set(), set()
-        inner, inner_mine, inner_mixed = g.roots, set(class_roots), set()
-        for c in reversed(self.caller_roots):
-            level_mine, level_mixed = set(), set()
-            for r, at_call in c.receivers.items():
-                worlds = (at_call | g.value_set(c.target, start=(r,))) & inner
-                if worlds and worlds <= inner_mine:
-                    level_mine.add(r)
-                elif worlds & (inner_mine | inner_mixed):
-                    level_mixed.add(r)
-                else:
-                    others.add(r)
-            mine |= level_mine
-            mixed |= level_mixed
-            inner, inner_mine, inner_mixed = set(c.receivers), level_mine, level_mixed
-        return mine, mixed, others
 
     def apply_create(self, instr, frame):
         node = self._creation_node(id(instr))
@@ -542,9 +486,6 @@ class Engine:
             self.delta_stack.append(frame)
             thunk()
             self.delta_stack.pop()
-            # roots introduced but later dropped again (a rerooting call
-            # returned) are not part of the branch's net effect
-            frame.roots_added &= self.diagram.roots
             # roll back, off the record: the next branch starts from the
             # same state, and replay below re-applies the net effects
             for (l, s, t) in frame.added:
@@ -714,36 +655,16 @@ class Engine:
 
     def _run_call(self, call, frame, assign_target, pos=None):
         pos = pos or call.pos
-        if call.target is None:
-            version = self.table.find_callee(frame.version.owner, call.name)
-            if version is None:
-                self._diag("error", "unknown routine %r" % call.name, pos)
-                return
-            roots = frozenset(self.diagram.roots)
-            actuals = self._caller_actuals(call, frame, pos, {r: (r,) for r in roots})
-            result = self._call_on_targets(version, actuals, roots, pos)
-            if assign_target is not None:
-                self._relink_target(assign_target, result, frame, pos)
+        if call.target is not None:
+            self._qualified_call(call, frame, assign_target, pos)
             return
-        self._qualified_call(call, frame, assign_target, pos)
-
-    def _caller_actuals(self, call, frame, pos, receivers):
-        """Each actual's values per callee root: the union of its value
-        sets in the caller worlds whose ``receivers`` hold that root."""
-        maps = []
-        for a in call.actuals:
-            if a is None:
-                maps.append(None)
-                continue
-            labels = label_path(a, frame.scope)
-            self._check_void_prefix(a, labels, pos)
-            per_root = self.diagram.value_sets_by_root(labels)
-            bound: Dict[NodeId, FrozenSet[NodeId]] = {}
-            for r, objs in receivers.items():
-                for o in objs:
-                    bound[o] = bound.get(o, frozenset()) | per_root[r]
-            maps.append(bound)
-        return maps
+        version = self.table.find_callee(frame.version.owner, call.name)
+        if version is None:
+            self._diag("error", "unknown routine %r" % call.name, pos)
+            return
+        result = self._call_on_targets(version, call, frame, None, pos)
+        if assign_target is not None:
+            self._relink_target(assign_target, result, frame, pos)
 
     def _qualified_call(self, call, frame, assign_target, pos):
         static_t = self._static_type(call.target, frame)
@@ -764,44 +685,49 @@ class Engine:
     def _qualified_one(self, version, call, frame, assign_target, pos):
         target_labels = label_path(call.target, frame.scope)
         self._check_void_prefix(call.target, target_labels, pos)
-        owners_by_root = self.diagram.value_sets_by_root(target_labels)
-        callee_roots = set()
-        for owners in owners_by_root.values():
-            callee_roots |= owners
-        if not callee_roots:
+        receivers = self.diagram.value_sets_by_root(target_labels)
+        if not any(receivers.values()):
             self._diag("error", "call target '%s' is definitely void" % ".".join(call.target), pos)
             return
-        actuals = self._caller_actuals(call, frame, pos, owners_by_root)
-        self.diagram.reroot(callee_roots)
-        self.caller_roots.append(_CallerWorlds(target_labels, owners_by_root))
-        result = self._call_on_targets(version, actuals, frozenset(callee_roots), pos)
-        self.diagram.reroot(self.caller_roots.pop().receivers)
+        result = self._call_on_targets(version, call, frame, receivers, pos)
         if assign_target is not None:
-            # re-read the target's owners: choices inside the callee may
-            # have grown them with branch clones carrying result values
-            owners_post = self.diagram.value_sets_by_root(target_labels)
-            caller_result = {}
-            for r in sorted(self.diagram.roots):
-                vals = set()
-                for o in owners_post.get(r, frozenset()):
-                    vals |= result.get(o, set())
-                caller_result[r] = frozenset(vals)
-            self._relink_target(assign_target, caller_result, frame, pos)
+            self._relink_target(assign_target, result, frame, pos)
 
-    def _call_on_targets(self, version, actuals, targets, pos):
-        """Analyze one routine version against the current roots.
-
-        Returns the per-root result value sets (empty for procedures).
+    def _call_on_targets(self, version, call, frame, receivers, pos):
+        """Analyze one routine version in every world: on each root's
+        ``receivers``, or, for an unqualified call (None), on the
+        caller's current object.  Returns the per-root result value sets
+        (empty for procedures).
         """
+        # each actual's values per world, taken once, here; a world whose
+        # receiver is Void does not run the call: it binds nothing and
+        # gets no result
+        worlds = [r for r in self.diagram.roots if receivers is None or receivers[r]]
+        actuals = []
+        for a in call.actuals:
+            if a is None:
+                actuals.append(None)
+                continue
+            labels = label_path(a, frame.scope)
+            self._check_void_prefix(a, labels, pos)
+            actuals.append({r: self.diagram.value_set(labels, start=(r,)) for r in worlds})
         actuals_key = tuple(None if m is None else frozenset().union(*m.values()) for m in actuals)
-        context_key = (id(version), targets, actuals_key)
+        current = frame.current
+        if receivers is None:
+            context_key = (id(version), frozenset(self.diagram.roots), current, actuals_key)
+        else:
+            context_key = (id(version), frozenset().union(*receivers.values()), actuals_key)
+        bindings = [receivers] + actuals
 
         for fr in reversed(self.call_stack):
             if fr.context_key == context_key:
-                return self._recursive_cutoff(fr, actuals)
+                return self._recursive_cutoff(fr, current, bindings)
         same_routine = [fr for fr in self.call_stack if fr.version is version]
-        if len(same_routine) >= UNROLL_LIMIT:
-            return self._recursive_cutoff(same_routine[-1], actuals)
+        # a frame whose current object is the root cannot absorb a call
+        # that has a receiver; descending once more yields one that can
+        has_receiver = receivers is not None or current is not None
+        if len(same_routine) >= UNROLL_LIMIT and (same_routine[-1].current is not None or not has_receiver):
+            return self._recursive_cutoff(same_routine[-1], current, bindings)
 
         self._next_act += 1
         act = self._next_act
@@ -809,8 +735,8 @@ class Engine:
             version=version,
             context_key=context_key,
             act=act,
-            targets=targets,
-            actuals=actuals,
+            current=current if receivers is None else Label("Current", act),
+            bindings=bindings,
         )
         self.call_stack.append(new_frame)
         self._bind_formals(new_frame)
@@ -823,30 +749,37 @@ class Engine:
         self.call_stack.pop()
         return result
 
-    def _recursive_cutoff(self, fr, actuals):
+    def _recursive_cutoff(self, fr, current, bindings):
         # an already-active context absorbs the call: feed it the new
-        # actuals (additively) and answer with what it has produced so far
+        # receivers and actuals (additively) and answer with what it has
+        # produced so far.  An unqualified call whose caller has another
+        # receiver than the frame brings that receiver along.
         fr.dirty = True
-        self._bind_formals(fr, actuals)
+        if bindings[0] is None and current != fr.current:
+            bindings = [self.diagram.value_sets_by_root((current,))] + bindings[1:]
+        self._bind_formals(fr, bindings)
         return {r: frozenset(fr.acc.get(r, ())) for r in self.diagram.roots}
 
-    def _bind_formals(self, fr, actuals=None):
-        # the values were taken at the call site, keyed by the call's
-        # target roots, which are roots for as long as the call runs
-        for (fname, _), bound in zip(fr.version.formals, fr.actuals if actuals is None else actuals):
+    def _bind_formals(self, fr, bindings=None):
+        # the receivers bind to the frame's ``Current``, the actuals to
+        # its formals; the values were taken at the call site, per root
+        names = ["Current"] + fr.version.formal_names()
+        for name, bound in zip(names, fr.bindings if bindings is None else bindings):
             if bound is None:
                 continue
-            flabel = Label(fname, fr.act)
+            label = fr.scope[name]
             for r in sorted(bound):
                 for v in sorted(bound[r]):
-                    self._add(flabel, r, v)
+                    self._add(label, r, v)
 
     def _accumulate_result(self, fr):
         if not fr.version.is_function():
             return
         rl = fr.scope["Result"]
         for r in self.diagram.roots:
-            fr.acc.setdefault(r, set()).update(self.diagram.value_set((rl,), start=(r,)))
+            # a world without a receiver does not run the call
+            if fr.current is None or self.diagram.successors(r, fr.current):
+                fr.acc.setdefault(r, set()).update(self.diagram.value_set((rl,), start=(r,)))
 
     def _frame_fixpoint(self, fr):
         def step():
@@ -895,13 +828,7 @@ class Engine:
         version = self._find_entry(entry_name)
         self.entry_name = entry_name
         root = self.diagram.add_root()
-        frame = _Frame(
-            version=version,
-            context_key=(id(version), frozenset({root}), ()),
-            act=0,
-            targets=frozenset({root}),
-            actuals=[],
-        )
+        frame = _Frame(version=version, context_key=(id(version), frozenset({root}), None, ()), act=0)
         if version.formals:
             self._diag(
                 "warning",

@@ -218,16 +218,6 @@ class AliasDiagram:
 
     # -- whole-diagram operations ---------------------------------------------
 
-    def reroot(self, new_roots: Iterable[NodeId]) -> FrozenSet[NodeId]:
-        """Replace the root set; returns the previous one."""
-        new = set(new_roots)
-        assert new, "a diagram must keep at least one root"
-        for n in new:
-            self.ensure_node(n)
-        old = frozenset(self.roots)
-        self.roots = new
-        return old
-
     def snapshot(self) -> "AliasDiagram":
         """Identity-preserving deep copy (same ids, same roots)."""
         twin = AliasDiagram()
@@ -321,11 +311,13 @@ def parse_name_path(text: str) -> NamePath:
 def label_path(names: Sequence[str], scope: Optional[Mapping[str, Label]] = None) -> Tuple[Label, ...]:
     """The label path a name path denotes.  The head resolves through
     ``scope`` (a routine's names, tagged with its activation); a head the
-    scope lacks, and every later name, is a field of the current object."""
-    if not names:
-        return ()
-    head = scope.get(names[0], Label(names[0])) if scope else Label(names[0])
-    return (head,) + tuple(Label(s) for s in names[1:])
+    scope lacks, and every later name, is a field of the current object:
+    the root, or what the scope's ``Current`` reaches from it."""
+    scope = scope or {}
+    if names and names[0] in scope:
+        return (scope[names[0]],) + tuple(Label(s) for s in names[1:])
+    prefix = (scope["Current"],) if "Current" in scope else ()
+    return prefix + tuple(Label(s) for s in names)
 
 
 def format_name_path(path: Sequence[str]) -> str:

@@ -131,28 +131,34 @@ def alias_pairs(diagram, scope, name_paths):
 
 
 def _diagram_paths(diagram, scope, depth):
-    """Expressible label paths up to the given length, as name strings."""
-    by_label = {}
-    for name, lbl in (scope or {}).items():
-        by_label[lbl] = name
+    """Expressible label paths up to the given length, as name strings.
+    Where the scope binds ``Current`` (a qualified call's receiver), the
+    fields are those of the objects it reaches, named without it."""
+    scope = scope or {}
+    current = scope.get("Current")
+    by_label = {lbl: name for name, lbl in scope.items() if lbl != current}
     found = set()
-    stack = [((), frozenset(diagram.roots))]
+    stack = [((), frozenset(diagram.roots), True)]
+    if current is not None:
+        stack.append(((), diagram.value_set((current,)), False))
     while stack:
-        trail, nodes = stack.pop()
+        trail, nodes, at_root = stack.pop()
         if len(trail) >= depth:
             continue
         labels = set()
         for n in nodes:
             labels |= diagram.labels_at(n)
         for lbl in sorted(labels):
-            if lbl.tag and (trail or lbl not in by_label):
-                continue  # scoped names only start a path, and only in scope
+            # scoped names only start a path, and only in scope; under a
+            # ``Current``, the roots' own fields belong to the caller
+            if (lbl.tag or (at_root and current is not None)) and not (at_root and lbl in by_label):
+                continue
             nxt = frozenset().union(*(diagram.successors(n, lbl) for n in nodes))
             if not nxt:
                 continue
             new_trail = trail + (by_label.get(lbl, lbl.name),)
             found.add(new_trail)
-            stack.append((new_trail, nxt))
+            stack.append((new_trail, nxt, False))
     return found
 
 

@@ -278,31 +278,24 @@ class CloningEngine(Engine):
         cursor = max(w._next_id for w in worlds)
         for w in worlds[1:]:
             w._next_id = cursor
-            # the roots active qualified calls will reroot back onto
-            # keep their ids, or this world would be left behind when
-            # the calls return
-            renamed, _ = clone(w, keep=frozenset().union(*(c.receivers for c in self.caller_roots)))
+            renamed, _ = clone(w)
             cursor = renamed._next_id
             merged._next_id = cursor
             union(merged, renamed)
         self.diagram = merged
 
 
-def clone(d, keep=frozenset()):
+def clone(d):
     """Isomorphic copy of ``d`` on fresh ids drawn from its counter, and
-    the old-to-new id mapping.  Nodes in ``keep`` keep their ids.
+    the old-to-new id mapping.
 
     The copy's counter continues past both diagrams' ids, and ``d``'s
     skips past the ids the copy consumed, so either can later be unioned
-    with the other, colliding only on the kept nodes.
+    with the other without collisions.
     """
     twin = AliasDiagram()
     twin._next_id = d._next_id
-    mapping = {n: n for n in keep}
-    for n in sorted(d.nodes - keep):
-        mapping[n] = twin.fresh_node()
-    for n in keep:
-        twin.ensure_node(n)
+    mapping = {n: twin.fresh_node() for n in sorted(d.nodes)}
     for label, s, t in sorted(d.edges()):
         twin.add_edge(label, mapping[s], mapping[t])
     twin.roots = {mapping[r] for r in d.roots}

@@ -20,7 +20,7 @@ import aliasgraph
 from aliasgraph.calculus import FALSE, TRUE, UNKNOWN, AnalysisConfig, AnalysisError, Engine
 from aliasgraph.diagram import Label
 from aliasgraph.lang import parse_program
-from aliasgraph.query import alias_pairs
+from aliasgraph.query import AliasQuery, alias_pairs, query_alias
 
 import oracles
 from oracles import CloningEngine, canonical_form, reachable_nodes
@@ -82,6 +82,14 @@ def test_attribute_assignment_through_void_prefix_warns_and_does_nothing():
     e = run(EMPTY_CLASS + "main local a: C c: C do create c a.n := c end")
     assert any("definitely void" in d.message for d in e.diagnostics)
     assert values(e, "a.n") == frozenset()
+
+
+def test_void_prefix_warning_inside_a_callee_names_the_source_path():
+    # the callee's field path runs through its receiver's Current label,
+    # which the source does not spell
+    src = "class N feature next: N val: N y: N peek do y := next.val end end\nmain local a: N do create a a.peek end"
+    messages = [d.message for d in run(src).diagnostics]
+    assert messages == ["'next' is definitely void here; 'next.val' has no value"]
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +538,41 @@ main local a: C y: C do create a y := grow (a) end
     assert len(e.diagram.nodes) < 60  # bounded, not one node per unrolling
 
 
+CHAIN = "create a create b create c create d create e create f create x" + "".join(
+    " %s.next := %s" % pair for pair in zip("abcde", "bcdef")
+)
+CHAIN_LOCALS = "a: N b: N c: N d: N e: N f: N x: N"
+
+# recursion down a chain of six objects, past the unroll limit: a plain
+# qualified recursion; an unqualified helper between the qualified calls
+# (entered first and second); and an entry-level recursion four levels
+# deep before the qualified one, at entry N.run
+DEEP_RECURSION = [
+    ("class N feature next: N val: N mark (v: N) do val := v if next /= Void then next.mark (v) end end end\n"
+     "main local %s do %s a.mark (x) end" % (CHAIN_LOCALS, CHAIN), "main"),
+    ("class N feature next: N val: N g (v: N) do f (v) end"
+     " f (v: N) do val := v if next /= Void then next.g (v) end end end\n"
+     "main local %s do %s a.g (x) end" % (CHAIN_LOCALS, CHAIN), "main"),
+    ("class N feature next: N val: N g (v: N) do f (v) end"
+     " f (v: N) do val := v if next /= Void then next.g (v) end end end\n"
+     "main local %s do %s a.f (x) end" % (CHAIN_LOCALS, CHAIN), "main"),
+    ("class N feature next: N val: N"
+     " walk (v: N; k: N) do val := v if k /= Void then walk (v, k.next) else next.walk (v, Void) end end"
+     " run local %s do %s next := a walk (x, b) end end" % (CHAIN_LOCALS, CHAIN), "N.run"),
+]
+
+
+@pytest.mark.parametrize("source, entry", DEEP_RECURSION, ids=["qualified", "helper", "helper-first", "entry-level"])
+def test_recursion_past_the_unroll_limit_keeps_every_write(source, entry):
+    # every object of the chain has its val written in the only run; a
+    # call cut off at the limit hands its receivers to the frame that
+    # absorbs it
+    e = run(source, entry=entry)
+    assert not e.has_errors()
+    answers = query_alias(e, AliasQuery("x", depth=4))
+    assert {"%s.val" % o for o in "abcdef"} <= answers
+
+
 RING_OF_ONE = """class C feature
   n: C
   f0 (a: C): C do then Result := a else Result := f0 (a.n) end end
@@ -621,8 +664,8 @@ def test_points_can_be_switched_off():
 # ---------------------------------------------------------------------------
 
 
-# a qualified call whose callee forks: the choice runs rerooted into o,
-# and y reads its outcome back in the caller
+# a qualified call whose callee forks: the choice forks the caller's
+# world, and y reads its outcome back in the caller
 QUALIFIED_CHOICE_SRC = (
     "class M feature x: M pick (v: M; w: M) do then x := v else x := w end end end\n"
     "main local o: M p: M q: M y: M do create o create p create q o.pick (p, q) y := o.x end"
@@ -659,7 +702,41 @@ SHARED_CALLER_HEAP_VARIANTS = [
     " then create o o.k := o a := n else create o o.k := o a := m end o.go (a) end",
     "class M feature f: M k: M touch (w: M) do then skip else k := w end k.f := Current end end\n"
     "main local o: M n: M y: M p: M do create n create y create p n.f := y create o o.k := n o.touch (p) end",
+    # a world whose receiver is Void runs nothing, so it keeps n.f = y
+    "class M feature f: M touch (v: M) do v.f := Current end end\n"
+    "main local o: M a: M n: M y: M do create n create y n.f := y then create o else skip end a := n o.touch (a) end",
 ]
+
+# a choice inside the callee: each caller world forks, so no world sets
+# both o.x and o.z to p
+FORK_IN_CALLEE_SRC = (
+    "class M feature x: M z: M pick (v: M) do then x := v else z := v end end end\n"
+    "main local o: M p: M a: M b: M do"
+    " create o create p create a create b o.x := a o.z := b a := Void b := Void o.pick (p) end"
+)
+
+# f := v writes a field of the receiver, which the world where o is
+# fresh does not share: a.f = z survives there
+RECEIVER_FIELD_WRITE_SRC = (
+    "class M feature f: M set (v: M) do f := v end end\n"
+    "main local o: M q: M a: M y: M z: M do"
+    " create a create y create z a.f := z then o := a else create o end q := a o.set (y) end"
+)
+
+# one branch of the callee writes a field of the caller's own root
+# object (entry M.run): the write must reach that world
+ROOT_WRITE_IN_CALLEE_SRC = (
+    "class M feature f: M g: M set (v: M) do then skip else v.f := Current end end\n"
+    "run local o: M do create o o.g := o o.set (Current) end end"
+)
+
+# a function called on a receiver that is Void in the world where a and
+# b are one object: that world gets no result, so b.g stays unset there
+VOID_RECEIVER_RESULT_SRC = (
+    "class M feature g: M mk: M do create Result end end\n"
+    "main local o: M a: M b: M y: M z: M do"
+    " create a then b := a else create o create b end y := o.mk () a.g := y z := b.g end"
+)
 
 
 def test_qualified_call_binds_each_receiver_to_its_own_worlds_actuals():
@@ -679,6 +756,30 @@ def test_callee_write_keeps_caller_worlds_that_share_the_owner():
         assert aliased(e, "n.f", "o"), source
 
 
+def test_a_choice_in_a_callee_forks_the_callers_world():
+    e = run(FORK_IN_CALLEE_SRC)
+    assert not aliased(e, "o.x", "o.z")
+    assert aliased(e, "o.x", "p")
+    assert aliased(e, "o.z", "p")
+
+
+def test_a_receiver_field_write_spares_the_worlds_that_do_not_call_on_it():
+    e = run(RECEIVER_FIELD_WRITE_SRC)
+    assert aliased(e, "a.f", "z")
+    assert aliased(e, "a.f", "y")
+
+
+def test_a_callee_branch_writing_the_callers_root_object_is_kept():
+    e = run(ROOT_WRITE_IN_CALLEE_SRC, entry="M.run")
+    assert "f" in query_alias(e, AliasQuery("o", depth=2))
+
+
+def test_a_world_whose_receiver_is_void_gets_no_result():
+    e = run(VOID_RECEIVER_RESULT_SRC)
+    assert aliased(e, "a.g", "y")
+    assert not aliased(e, "b.g", "y")
+
+
 def test_clone_mode_agrees_with_replay_on_a_branchy_program():
     src = (
         EMPTY_CLASS
@@ -691,13 +792,14 @@ def test_clone_mode_agrees_with_replay_on_a_branchy_program():
     for p in names:
         for q in names:
             assert aliased(fast, p, q) == aliased(slow, p, q), (p, q)
-    # calls fork through the same step: plain calls, qualified calls
-    # (rerooting), recursion and dynamic dispatch
+    # calls fork through the same step: plain calls, qualified calls,
+    # recursion and dynamic dispatch
     cases = [
         (source, "main")
         for source in [DISPATCH_SRC, QUALIFIED_CHOICE_SRC, PER_WORLD_ACTUALS_SRC, SHARED_CALLER_HEAP_SRC]
         + SHARED_CALLER_HEAP_VARIANTS
-    ]
+        + [FORK_IN_CALLEE_SRC, RECEIVER_FIELD_WRITE_SRC, VOID_RECEIVER_RESULT_SRC]
+    ] + [(ROOT_WRITE_IN_CALLEE_SRC, "M.run")]
     for source, entry in cases + corpus_sources():
         fast = run(source, entry=entry)
         slow = run(source, entry=entry, engine=CloningEngine)

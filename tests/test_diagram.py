@@ -1,6 +1,5 @@
 import doctest
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,21 +46,6 @@ def sibling_graph():
 
 
 # -- whole-diagram operations, pinned ------------------------------------------
-
-
-def test_reroot_swaps_root_set_and_keeps_edges():
-    g, n0, n1, n2 = reference_graph()
-    before = g.edge_set()
-    old = g.reroot({n2})
-    assert old == frozenset({n0})
-    assert g.roots == {n2}
-    assert g.edge_set() == before
-
-
-def test_reroot_refuses_empty():
-    g, *_ = reference_graph()
-    with pytest.raises(AssertionError):
-        g.reroot(set())
 
 
 def test_include_adds_isolated_node():
@@ -196,7 +180,7 @@ def test_canonical_form_ignores_node_ids():
 def test_canonical_form_sees_root_placement():
     g, n0, n1, n2 = reference_graph()
     h = g.snapshot()
-    h.reroot({n1})
+    h.roots = {n1}
     assert canonical_form(g, reachable_only=False) != canonical_form(h, reachable_only=False)
 
 

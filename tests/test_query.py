@@ -104,6 +104,18 @@ end
     assert "a.n" in query_alias(e, AliasQuery("b", depth=3))
 
 
+def test_depth_bound_inside_a_callee_names_the_receivers_fields_as_the_source_does():
+    src = """
+class M feature
+  x: M  z: M
+  pick (v: M) local w: M do w := v Q: x := v end
+end
+main local o: M p: M a: M do create o create p create a o.z := a then o.pick (p) else o.pick (a) end end
+"""
+    e = run(src)
+    assert query_alias(e, AliasQuery("v", at="Q", depth=2)) == {"w", "x", "z"}
+
+
 def test_depth_bound_must_cover_the_path():
     with pytest.raises(QueryError):
         AliasQuery("a.b.c", depth=2)
