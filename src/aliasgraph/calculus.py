@@ -115,11 +115,9 @@ class _DeltaFrame:
 
 @dataclass
 class _FixpointScope:
-    """Per-fixpoint bookkeeping: the union of iteration-boundary
-    states, creation counters, and the world registry that keeps
-    re-executed choices stable."""
+    """Per-fixpoint bookkeeping: creation counters, and the world
+    registry that keeps re-executed choices stable."""
 
-    union_edges: Set[Edge] = field(default_factory=set)
     counters: Dict[int, int] = field(default_factory=dict)
     capped: Dict[int, NodeId] = field(default_factory=dict)
     clone_memo: Dict[Tuple[NodeId, FrozenSet[Tuple[int, int]]], NodeId] = field(default_factory=dict)
@@ -131,7 +129,7 @@ class _Frame:
     """One activation on the analysis call stack."""
 
     version: RoutineDecl
-    context_key: tuple
+    context_key: Optional[tuple]
     act: int
     # the ``Current`` fields resolve through: a qualified call's own,
     # else the caller's; None while the current object is the root
@@ -608,7 +606,6 @@ class Engine:
         scope = _FixpointScope()
         self.fix_stack.append(scope)
         key = self._state_key()
-        scope.union_edges |= key[0]
         seen = {key}
         while True:
             if scope.iterations == self.config.max_iters:
@@ -617,12 +614,11 @@ class Engine:
             scope.iterations += 1
             step()
             key = self._state_key()
-            scope.union_edges |= key[0]
             if key in seen:
                 break
             seen.add(key)
         self.fix_stack.pop()
-        self._restore_union(scope)
+        self._restore_union(seen)
 
     def _state_key(self):
         # Node identity matters: a fresh creation changes the key for
@@ -635,15 +631,16 @@ class Engine:
             frozenset(self.diagram.roots),
         )
 
-    def _restore_union(self, scope):
+    def _restore_union(self, states):
         # the result is the union over all iteration counts, so edges an
-        # iteration-boundary state had come back.  Edges that only lived
-        # mid-pass do not: no iteration count ever exhibits them.  Names
-        # of activations that closed meanwhile stay out (their scopes no
-        # longer exist); every activation opened inside the fixpoint has
-        # closed by now, so those are the tags no live frame carries.
+        # iteration-boundary state (a key in ``states``) had come back.
+        # Edges that only lived mid-pass do not: no iteration count ever
+        # exhibits them.  Names of activations that closed meanwhile stay
+        # out (their scopes no longer exist); every activation opened
+        # inside the fixpoint has closed by now, so those are the tags no
+        # live frame carries.
         live = {fr.act for fr in self.call_stack}
-        missing = scope.union_edges - self.diagram.edge_set()
+        missing = frozenset().union(*(key[0] for key in states)) - self.diagram.edge_set()
         for (l, s, t) in sorted(missing):
             if l.tag and l.tag not in live:
                 continue
@@ -745,7 +742,7 @@ class Engine:
         if new_frame.dirty:
             self._frame_fixpoint(new_frame)
         result = {r: frozenset(vs) for r, vs in new_frame.acc.items()}
-        self._unbind_activation(act)
+        self._unbind_activation(new_frame)
         self.call_stack.pop()
         return result
 
@@ -793,10 +790,10 @@ class Engine:
             fr.version.pos,
         )
 
-    def _unbind_activation(self, act):
-        doomed = sorted(
-            (l, s, t) for l in self.diagram.edge_labels() if l.tag == act for s, t in self.diagram.label_edges(l)
-        )
+    def _unbind_activation(self, fr):
+        # the frame's own names leave the roots only (see ``diagram``)
+        own = [l for l in fr.scope.values() if l.tag == fr.act]
+        doomed = sorted((l, r, t) for r in self.diagram.roots for l in own for t in self.diagram.successors(r, l))
         for (l, s, t) in doomed:
             self._remove(l, s, t)
 
@@ -827,8 +824,9 @@ class Engine:
         """Run the analysis from the named entry routine."""
         version = self._find_entry(entry_name)
         self.entry_name = entry_name
-        root = self.diagram.add_root()
-        frame = _Frame(version=version, context_key=(id(version), frozenset({root}), None, ()), act=0)
+        self.diagram.add_root()
+        # no call may match the entry's context: nothing re-analyzes it
+        frame = _Frame(version=version, context_key=None, act=0)
         if version.formals:
             self._diag(
                 "warning",

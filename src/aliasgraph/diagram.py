@@ -23,10 +23,15 @@ Invariants maintained by every mutating operation:
   * node identifiers are allocated from a monotone counter and never
     reused, so every node at or past a recorded counter value was made
     after it (branch replay uses this as its watermark);
-  * the edge set agrees with its three indexes: outgoing (source ->
-    label -> targets), incoming (target -> (label, source) pairs) and by
-    label (label -> (source, target) pairs), and no index keeps an empty
-    bucket (``check_invariants``).
+  * each edge is stored once per direction: outgoing (source -> label ->
+    targets, with an entry for every node, so its keys are the node
+    set) and incoming (target -> (label, source) pairs); the two agree,
+    and neither keeps an empty bucket.
+
+The engine keeps one more: an edge whose label carries a nonzero
+activation tag leaves a root.  A routine's names are bound from the
+roots only, so closing an activation sweeps its labels from the roots.
+``check_invariants`` checks all of these.
 
 Example:
 
@@ -42,7 +47,8 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 NodeId = int
 
@@ -83,20 +89,22 @@ class AliasDiagram:
     """
 
     def __init__(self) -> None:
-        self.nodes: Set[NodeId] = set()
         self.roots: Set[NodeId] = set()
+        # every node has an entry here, edges or not
         self._out: Dict[NodeId, Dict[Label, Set[NodeId]]] = {}
         self._in: Dict[NodeId, Set[Tuple[Label, NodeId]]] = {}
-        self._by_label: Dict[Label, Set[Tuple[NodeId, NodeId]]] = {}
-        self._edges: Set[Edge] = set()
         self._next_id: int = 0
+
+    @property
+    def nodes(self) -> AbstractSet[NodeId]:
+        """A live read-only view of the node set."""
+        return self._out.keys()
 
     # -- construction -------------------------------------------------------
 
     def fresh_node(self) -> NodeId:
         n = self._next_id
         self._next_id += 1
-        self.nodes.add(n)
         self._out[n] = {}
         return n
 
@@ -108,67 +116,67 @@ class AliasDiagram:
     def ensure_node(self, n: NodeId) -> None:
         """Register an id that may not be a node yet (an edge's ends, a
         new root), moving the counter past it."""
-        if n not in self.nodes:
-            self.nodes.add(n)
-            self._out.setdefault(n, {})
-            self._next_id = max(self._next_id, n + 1)
+        if n not in self._out:
+            self._out[n] = {}
+            if n >= self._next_id:
+                self._next_id = n + 1
 
     # -- raw edge surgery ----------------------------------------------------
 
     def add_edge(self, label: Label, source: NodeId, target: NodeId) -> bool:
         """Insert one triple.  Returns True if the diagram changed."""
-        e = (label, source, target)
-        if e in self._edges:
+        out = self._out.get(source)
+        if out is None:
+            self.ensure_node(source)
+            out = self._out[source]
+        targets = out.get(label)
+        if targets is None:
+            out[label] = {target}
+        elif target in targets:
             return False
-        self.ensure_node(source)
+        else:
+            targets.add(target)
         self.ensure_node(target)
-        self._edges.add(e)
-        self._out[source].setdefault(label, set()).add(target)
-        self._in.setdefault(target, set()).add((label, source))
-        self._by_label.setdefault(label, set()).add((source, target))
+        ins = self._in.get(target)
+        if ins is None:
+            self._in[target] = {(label, source)}
+        else:
+            ins.add((label, source))
         return True
 
     def remove_edge(self, label: Label, source: NodeId, target: NodeId) -> bool:
-        e = (label, source, target)
-        if e not in self._edges:
+        out = self._out.get(source)
+        targets = out.get(label) if out else None
+        if not targets or target not in targets:
             return False
-        self._edges.discard(e)
-        _discard(self._out[source], label, target)
+        _discard(out, label, target)
         _discard(self._in, target, (label, source))
-        _discard(self._by_label, label, (source, target))
         return True
 
     def edge_set(self) -> FrozenSet[Edge]:
-        return frozenset(self._edges)
+        return frozenset([(l, s, t) for s, out in self._out.items() for l, ts in out.items() for t in ts])
 
     def edges(self) -> Iterator[Edge]:
-        return iter(self._edges)
+        return ((l, s, t) for s, out in self._out.items() for l, ts in out.items() for t in ts)
 
     def out_edges(self, source: NodeId) -> Iterator[Tuple[Label, NodeId]]:
-        for label, targets in self._out.get(source, {}).items():
+        for label, targets in self._out.get(source, _NO_EDGES).items():
             for t in targets:
                 yield label, t
 
-    # The next three iterate the live indexes: collect what they yield
-    # before changing the diagram.
+    # The rest of this section hands out the live index: collect what
+    # it yields before changing the diagram, and never mutate it.
 
     def in_edges(self, target: NodeId) -> Iterator[Tuple[Label, NodeId]]:
         """The (label, source) pairs of the edges into ``target``."""
         return iter(self._in.get(target, ()))
 
-    def label_edges(self, label: Label) -> Iterator[Tuple[NodeId, NodeId]]:
-        """The (source, target) pairs of the edges labeled ``label``."""
-        return iter(self._by_label.get(label, ()))
+    def out_map(self, source: NodeId) -> Mapping[Label, AbstractSet[NodeId]]:
+        """``source``'s label -> targets map (empty for a non-node)."""
+        return self._out.get(source, _NO_EDGES)
 
-    def edge_labels(self) -> Iterator[Label]:
-        """Every label some edge carries."""
-        return iter(self._by_label)
-
-    def successors(self, source: NodeId, label: Label) -> FrozenSet[NodeId]:
-        return frozenset(self._out.get(source, {}).get(label, ()))
-
-    def labels_at(self, source: NodeId) -> FrozenSet[Label]:
-        return frozenset(self._out.get(source, {}))
+    def successors(self, source: NodeId, label: Label) -> AbstractSet[NodeId]:
+        return self._out.get(source, _NO_EDGES).get(label, _NO_NODES)
 
     # -- value semantics -----------------------------------------------------
 
@@ -177,11 +185,11 @@ class AliasDiagram:
 
         The empty path denotes the start set itself (the current object).
         """
-        frontier: Set[NodeId] = set(self.roots if start is None else start)
+        frontier: Iterable[NodeId] = self.roots if start is None else start
         for label in path:
             nxt: Set[NodeId] = set()
             for n in frontier:
-                nxt |= self._out.get(n, {}).get(label, set())
+                nxt |= self._out.get(n, _NO_EDGES).get(label, _NO_NODES)
             frontier = nxt
             if not frontier:
                 break
@@ -221,12 +229,9 @@ class AliasDiagram:
     def snapshot(self) -> "AliasDiagram":
         """Identity-preserving deep copy (same ids, same roots)."""
         twin = AliasDiagram()
-        twin.nodes = set(self.nodes)
         twin.roots = set(self.roots)
-        twin._edges = set(self._edges)
         twin._out = {n: {l: set(ts) for l, ts in bylabel.items()} for n, bylabel in self._out.items()}
         twin._in = {t: set(pairs) for t, pairs in self._in.items()}
-        twin._by_label = {l: set(pairs) for l, pairs in self._by_label.items()}
         twin._next_id = self._next_id
         return twin
 
@@ -234,28 +239,24 @@ class AliasDiagram:
 
     def check_invariants(self) -> None:
         assert self.roots, "root set went empty"
-        assert self.roots <= self.nodes
-        rebuilt = set()
+        assert all(r in self._out for r in self.roots), "a root is not a node"
+        by_target: Dict[NodeId, Set[Tuple[Label, NodeId]]] = {}
         for n, bylabel in self._out.items():
-            assert n in self.nodes
             for label, targets in bylabel.items():
                 assert targets, "empty target bucket left behind for %r at %d" % (label, n)
+                assert not label.tag or n in self.roots, "tagged label %r leaves non-root %d" % (label, n)
                 for t in targets:
-                    rebuilt.add((label, n, t))
-        assert rebuilt == self._edges, "edge set and outgoing index disagree"
-        by_target: Dict[NodeId, Set[Tuple[Label, NodeId]]] = {}
-        by_label: Dict[Label, Set[Tuple[NodeId, NodeId]]] = {}
-        for label, s, t in self._edges:
-            by_target.setdefault(t, set()).add((label, s))
-            by_label.setdefault(label, set()).add((s, t))
-        assert by_target == self._in, "edge set and incoming index disagree"
-        assert by_label == self._by_label, "edge set and label index disagree"
-        for _, s, t in self._edges:
-            assert s in self.nodes and t in self.nodes
-        assert all(n < self._next_id for n in self.nodes)
+                    assert t in self._out, "edge target %d is not a node" % t
+                    by_target.setdefault(t, set()).add((label, n))
+        assert by_target == self._in, "outgoing and incoming indexes disagree"
+        assert all(n < self._next_id for n in self._out)
 
     def __repr__(self) -> str:
-        return "AliasDiagram(nodes=%d, roots=%s, edges=%d)" % (len(self.nodes), sorted(self.roots), len(self._edges))
+        return "AliasDiagram(nodes=%d, roots=%s, edges=%d)" % (len(self._out), sorted(self.roots), len(self.edge_set()))
+
+
+_NO_EDGES: Mapping[Label, AbstractSet[NodeId]] = MappingProxyType({})
+_NO_NODES: AbstractSet[NodeId] = frozenset()
 
 
 def _discard(index, key, item):

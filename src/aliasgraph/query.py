@@ -66,6 +66,7 @@ class RootMasks:
         self.all_bits = (1 << len(self.bits)) - 1
         # a trie of resolved prefixes: (masks, label -> next step)
         self._trie: Tuple[Dict[NodeId, int], dict] = (dict(self.bits), {})
+        self._heads = [(diagram.out_map(r), bit) for r, bit in self.bits.items()]
 
     def of(self, path: Sequence[Label]) -> Dict[NodeId, int]:
         """node -> bits of the roots whose value set of ``path`` holds it."""
@@ -77,12 +78,9 @@ class RootMasks:
             if step is None:
                 got: Dict[NodeId, int] = {}
                 if i == 0:
-                    # one pass over the label's edges, not one successor
-                    # set per root; a top-level local can carry the same
-                    # label as a field, so only edges leaving a root count
-                    for s, t in self.diagram.label_edges(label):
-                        bit = masks.get(s)
-                        if bit is not None:
+                    # the roots' out-maps, looked up once per masks object
+                    for out, bit in self._heads:
+                        for t in out.get(label, ()):
                             got[t] = got.get(t, 0) | bit
                 else:
                     for n, mask in masks.items():
@@ -147,7 +145,7 @@ def _diagram_paths(diagram, scope, depth):
             continue
         labels = set()
         for n in nodes:
-            labels |= diagram.labels_at(n)
+            labels.update(diagram.out_map(n))
         for lbl in sorted(labels):
             # scoped names only start a path, and only in scope; under a
             # ``Current``, the roots' own fields belong to the caller

@@ -573,6 +573,16 @@ def test_recursion_past_the_unroll_limit_keeps_every_write(source, entry):
     assert {"%s.val" % o for o in "abcdef"} <= answers
 
 
+def test_recursion_back_into_the_entry_keeps_its_effects():
+    # the nested run takes the else branch: m := n, with n the object the
+    # outer run created.  The entry frame is never re-analyzed, so it
+    # must not absorb that call in place of running it
+    src = "class C feature n: C m: C run local a: C do if n = Void then create a n := a run else m := n end end end"
+    e = run(src, entry="C.run")
+    assert not e.has_errors()
+    assert aliased(e, "a", "n") and aliased(e, "a", "m") and aliased(e, "m", "n")
+
+
 RING_OF_ONE = """class C feature
   n: C
   f0 (a: C): C do then Result := a else Result := f0 (a.n) end end
@@ -915,9 +925,9 @@ def test_alternating_choices_inside_a_loop_close_onto_a_finite_world_set():
 
 def test_diagram_indexes_stay_consistent_through_the_engine():
     """Replay rollback, privatization and unbinding all remove edges;
-    after a whole analysis in the default (replay) mode the in-edge and
-    label indexes still agree with the edge set, in the final diagram
-    and in every snapshot."""
+    after a whole analysis the in-edge index still agrees with the
+    outgoing one and tagged labels leave roots only, in the final
+    diagram and in every snapshot (``run`` checks both)."""
     sources = []
     for seed in range(24):
         nv, block = oracles.gen_program(seed)
@@ -925,7 +935,4 @@ def test_diagram_indexes_stay_consistent_through_the_engine():
     for seed in range(12):
         sources.append((oracles.render_loop(*oracles.gen_loop_program(seed)), "main"))
     for source, entry in sources + corpus_sources():
-        e = run(source, entry=entry)
-        e.diagram.check_invariants()
-        for snapshot, _ in e.snapshots.values():
-            snapshot.check_invariants()
+        run(source, entry=entry)

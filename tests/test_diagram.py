@@ -278,17 +278,61 @@ def test_snapshot_is_detached(g):
 @given(diagrams(), st.lists(st.tuples(st.sampled_from("abcxy"), st.integers(0, 5), st.integers(0, 5)), max_size=12))
 @settings(max_examples=60)
 def test_indexes_follow_removals(g, doomed):
-    """Removing edges, present or not, keeps the in-edge and label
-    indexes equal to the edge set, with no empty bucket left."""
+    """Removing edges, present or not, keeps the in-edge index equal to
+    the edge set, with no empty bucket left."""
     for name, s, t in doomed:
         g.remove_edge(Label(name), s, t)
     g.check_invariants()
     edges = g.edge_set()
     for n in g.nodes:
         assert set(g.in_edges(n)) == {(l, s) for (l, s, t) in edges if t == n}
-    for name in "abcxy":
-        assert set(g.label_edges(Label(name))) == {(s, t) for (l, s, t) in edges if l == Label(name)}
-    assert set(g.edge_labels()) == {l for (l, _, _) in edges}
+
+
+# one step of the model-based test: (kind, label name, source, target)
+diagram_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "remove", "ensure", "snapshot"]),
+        st.sampled_from("ab"),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+    max_size=40,
+)
+
+
+@given(diagram_ops)
+@settings(max_examples=100)
+def test_edge_stores_follow_a_model_of_triples(ops):
+    """Adds, removals, new nodes and snapshots, applied both to a diagram
+    and to a plain set of triples, leave the two with the same edges,
+    nodes and in-edges; a snapshot carries on as a detached copy."""
+    g = AliasDiagram()
+    g.add_root()
+    model, nodes = set(), {0}
+    for kind, name, s, t in ops:
+        e = (Label(name), s, t)
+        if kind == "add":
+            assert g.add_edge(*e) == (e not in model)
+            model.add(e)
+            nodes |= {s, t}
+        elif kind == "remove":
+            assert g.remove_edge(*e) == (e in model)
+            model.discard(e)
+        elif kind == "ensure":
+            g.ensure_node(s)
+            nodes.add(s)
+        else:
+            before = g
+            g = g.snapshot()
+            before.add_edge(Label("zz"), 0, 0)
+    assert g.edge_set() == frozenset(model)
+    assert sorted(g.edges()) == sorted(model)
+    assert set(g.nodes) == nodes
+    assert g._next_id == max(nodes) + 1
+    for n in nodes:
+        assert set(g.in_edges(n)) == {(l, s) for (l, s, t) in model if t == n}
+        assert {(l, t) for l, ts in g.out_map(n).items() for t in ts} == {(l, t) for (l, s, t) in model if s == n}
+    g.check_invariants()
 
 
 def test_ancestors_and_reach_within():

@@ -77,13 +77,17 @@ end
 def run(source, entry="main", engine=Engine, **config_kwargs):
     """Parse, resolve, and analyze with an ``engine`` class (``Engine``, or
     ``oracles.CloningEngine`` for the cloning reference); fail the test on
-    static errors."""
+    static errors, or when the final diagram or a point's snapshot breaks
+    the diagram's invariants."""
     prog = parse_program(source)
     diags = resolve(prog)
     errors = [d for d in diags if d.severity == "error"]
     assert not errors, "static errors: %s" % [d.render() for d in errors]
     e = engine(prog, AnalysisConfig(**config_kwargs) if config_kwargs else None)
     e.analyze(entry)
+    e.diagram.check_invariants()
+    for snapshot, _ in e.snapshots.values():
+        snapshot.check_invariants()
     return e
 
 
