@@ -3,7 +3,8 @@
 The engine walks a routine body and rewrites one shared diagram in place:
 
   * assignment relinks the target's edges, per root, to the source's
-    per-root value sets (strong update: the old edges go away);
+    per-root value sets (strong update: an old value that is not a new
+    one loses its edge; only the edges that change are written);
   * creation adds an isolated node and relinks the target to it;
   * a conditional or free choice analyzes every live branch and keeps
     the union of all branch outcomes, realized by delta replay (below);
@@ -24,9 +25,10 @@ Choice handling never copies whole diagrams.  Each branch runs against
 the shared diagram while a delta frame records its net added and removed
 edges; the branch is then rolled back.  Replay applies branch one in
 place and, for every further branch, re-keys its delta onto fresh clones
-of the roots (and of any other touched node), first copying the restored
-state's edges onto those clones.  Nodes untouched by any branch stay
-shared between the worlds, which is what keeps the representation small.
+of the roots (and of any other touched node), first copying onto those
+clones the restored state's edges they lack.  Nodes untouched by any
+branch stay shared between the worlds, which is what keeps the
+representation small.
 
 Termination of loop and recursion fixpoints rests on three policies:
 iteration stops when the live state repeats (the step is deterministic,
@@ -160,6 +162,9 @@ class Engine:
         self._diag_seen = set()
         self.snapshots: Dict[str, Tuple[AliasDiagram, Dict[str, Label]]] = {}
         self.snapshot_order: List[str] = []
+        # point (None: the final state) -> its ``query.RootMasks``, built
+        # by the first query there and reused by the rest
+        self.root_masks: Dict[Optional[str], object] = {}
         self.delta_stack: List[_DeltaFrame] = []
         self.fix_stack: List[_FixpointScope] = []
         self.call_stack: List[_Frame] = []
@@ -184,7 +189,8 @@ class Engine:
 
     # ------------------------------------------------------------------
     # the single mutation funnel: every semantic edge change goes through
-    # here so delta frames stay trustworthy
+    # ``_add`` and ``_remove`` (``_set_targets`` writes through them) so
+    # delta frames stay trustworthy
     # ------------------------------------------------------------------
 
     def _add(self, label, s, t):
@@ -195,9 +201,17 @@ class Engine:
         if self.diagram.remove_edge(label, s, t) and self.delta_stack:
             self.delta_stack[-1].record_remove((label, s, t))
 
-    def _remove_all(self, label, source):
-        for t in sorted(self.diagram.successors(source, label)):
+    def _set_targets(self, label, source, targets):
+        """Make ``targets`` the whole target set of (label, source),
+        writing only the edges that change."""
+        old = self.diagram.successors(source, label)
+        for t in [t for t in old if t not in targets]:
             self._remove(label, source, t)
+        for t in targets:
+            # ``old`` is the live set (emptied, not refilled, once its
+            # last target goes), so the test reads the current edges
+            if t not in old:
+                self._add(label, source, t)
 
     # ------------------------------------------------------------------
     # name resolution at analysis time
@@ -308,10 +322,8 @@ class Engine:
         labels = label_path(target_names, frame.scope)
         if len(labels) == 1:
             lbl = labels[0]
-            for r in sorted(self.diagram.roots):
-                self._remove_all(lbl, r)
-                for v in sorted(per_root_vals.get(r, ())):
-                    self._add(lbl, r, v)
+            for r in self.diagram.roots:
+                self._set_targets(lbl, r, per_root_vals.get(r, ()))
             return
         # x.a := s  --  strong update at every object x may denote.
         # Roots can disagree on both halves of that sentence: which
@@ -352,12 +364,14 @@ class Engine:
             copies, weak = self._privatize(owners, class_roots)
             plans.append((owners, vals, copies, weak))
         for owners, vals, copies, weak in plans:
-            for o in sorted(owners):
+            targets = {copies.get(v, v) for v in vals}
+            for o in owners:
                 mine = copies.get(o, o)
-                if o not in weak:
-                    self._remove_all(attr, mine)
-                for v in sorted(vals):
-                    self._add(attr, mine, copies.get(v, v))
+                if o in weak:
+                    for t in targets:
+                        self._add(attr, mine, t)
+                else:
+                    self._set_targets(attr, mine, targets)
 
     def _privatize(self, owners, class_roots):
         """Give one group of roots private copies of the shared part of
@@ -404,23 +418,22 @@ class Engine:
                     cone.add(s)
                     work.append(s)
         shared = {n for n in cone if n in reach_others and n not in g.roots}
-        copies = {}
-        for orig in sorted(shared):
-            copies[orig] = g.fresh_node()
-        for orig in sorted(shared):
-            for l, t in sorted(g.out_edges(orig)):
-                self._add(l, copies[orig], copies.get(t, t))
+        # sorted: the copies are allocated in this order
+        copies = {orig: g.fresh_node() for orig in sorted(shared)}
+        for orig, copy in copies.items():
+            for l, t in g.out_edges(orig):
+                self._add(l, copy, copies.get(t, t))
         # entry edges: a source inside the group's reach that feeds a
         # copied node is, by cone closure, itself in the cone; if it was
         # not copied it is either a group root or private to the group,
         # so rerouting it in place is invisible to every other world.
         # Roots of other worlds are never rerouted even when reachable.
-        entries = sorted(
+        entries = [
             (l, s, t)
             for t in copies
             for l, s in g.in_edges(t)
             if s in reach_mine and s not in copies and s not in roots_outside
-        )
+        ]
         for (l, s, t) in entries:
             self._remove(l, s, t)
             self._add(l, s, copies[t])
@@ -476,7 +489,7 @@ class Engine:
     # -- delta replay
 
     def _branches_by_replay(self, site, live):
-        pre_roots = sorted(self.diagram.roots)
+        pre_roots = set(self.diagram.roots)
         watermark = self.diagram._next_id
         frames: List[_DeltaFrame] = []
         for thunk in live:
@@ -492,7 +505,7 @@ class Engine:
                 self.diagram.add_edge(l, s, t)
             for r in frame.roots_added:
                 self.diagram.roots.discard(r)
-            assert self.diagram.roots == set(pre_roots), "a branch left the root set unbalanced"
+            assert self.diagram.roots == pre_roots, "a branch left the root set unbalanced"
             frames.append(frame)
 
         in_fixpoint = bool(self.fix_stack)
@@ -502,9 +515,8 @@ class Engine:
             frame = frames[b]
             mapping: Dict[NodeId, NodeId] = {}
             touched = {s for (_, s, _) in frame.added | frame.removed}
-            clone_sources = set(pre_roots) | {
-                s for s in (touched | touched_first) if s < watermark and s not in pre_roots
-            }
+            clone_sources = pre_roots | {s for s in (touched | touched_first) if s < watermark}
+            # sorted: clones are allocated in this order
             for orig in sorted(clone_sources):
                 mapping[orig] = self._branch_clone(site, b, orig, in_fixpoint, is_root=orig in self.diagram.roots)
             mappings.append(mapping)
@@ -512,34 +524,42 @@ class Engine:
         # copy the restored state onto the clones before any branch
         # effect lands; clone-to-clone references stay inside the world
         for mapping in mappings:
-            for orig in sorted(mapping):
-                copy = mapping[orig]
-                if copy == orig:
-                    continue
-                for l, t in sorted(self.diagram.out_edges(orig)):
-                    self._add(l, copy, mapping.get(t, t))
-                # unmapped parents must reach this world's version too,
-                # otherwise effects behind a shared node would be lost
-                for l, s in sorted(self.diagram.in_edges(orig)):
-                    if s not in mapping:
-                        self._add(l, s, copy)
+            for orig, copy in mapping.items():
+                if copy != orig:
+                    self._copy_onto_clone(orig, copy, mapping)
 
         # branch one applies in place
-        for (l, s, t) in sorted(frames[0].added):
+        for (l, s, t) in frames[0].added:
             self._add(l, s, t)
-        for (l, s, t) in sorted(frames[0].removed):
+        for (l, s, t) in frames[0].removed:
             self._remove(l, s, t)
-        for r in sorted(frames[0].roots_added):
+        for r in frames[0].roots_added:
             self._add_root(r)
         # the rest apply through their mappings
         for b in range(1, len(frames)):
             frame, mapping = frames[b], mappings[b - 1]
-            for (l, s, t) in sorted(frame.added):
+            for (l, s, t) in frame.added:
                 self._add(l, mapping.get(s, s), mapping.get(t, t))
-            for (l, s, t) in sorted(frame.removed):
+            for (l, s, t) in frame.removed:
                 self._remove(l, mapping.get(s, s), mapping.get(t, t))
-            for r in sorted(frame.roots_added):
+            for r in frame.roots_added:
                 self._add_root(mapping.get(r, r))
+
+    def _copy_onto_clone(self, orig, copy, mapping):
+        """Give ``copy`` the edges of ``orig`` it lacks: its out-edges,
+        re-targeted through ``mapping``, and the in-edges of its unmapped
+        parents.  A clone memoized by an enclosing fixpoint already holds
+        most of them from an earlier pass."""
+        g = self.diagram
+        for l, t in g.out_edges(orig):
+            t = mapping.get(t, t)
+            if t not in g.successors(copy, l):
+                self._add(l, copy, t)
+        # unmapped parents must reach this world's version too,
+        # otherwise effects behind a shared node would be lost
+        for l, s in g.in_edges(orig):
+            if s not in mapping and copy not in g.successors(s, l):
+                self._add(l, s, copy)
 
     def _branch_clone(self, site, b, orig, in_fixpoint, is_root):
         if not in_fixpoint:
@@ -641,7 +661,7 @@ class Engine:
         # live frame carries.
         live = {fr.act for fr in self.call_stack}
         missing = frozenset().union(*(key[0] for key in states)) - self.diagram.edge_set()
-        for (l, s, t) in sorted(missing):
+        for (l, s, t) in missing:
             if l.tag and l.tag not in live:
                 continue
             self._add(l, s, t)
@@ -765,8 +785,8 @@ class Engine:
             if bound is None:
                 continue
             label = fr.scope[name]
-            for r in sorted(bound):
-                for v in sorted(bound[r]):
+            for r, vals in bound.items():
+                for v in vals:
                     self._add(label, r, v)
 
     def _accumulate_result(self, fr):
@@ -776,7 +796,7 @@ class Engine:
         for r in self.diagram.roots:
             # a world without a receiver does not run the call
             if fr.current is None or self.diagram.successors(r, fr.current):
-                fr.acc.setdefault(r, set()).update(self.diagram.value_set((rl,), start=(r,)))
+                fr.acc.setdefault(r, set()).update(self.diagram.successors(r, rl))
 
     def _frame_fixpoint(self, fr):
         def step():
@@ -793,7 +813,7 @@ class Engine:
     def _unbind_activation(self, fr):
         # the frame's own names leave the roots only (see ``diagram``)
         own = [l for l in fr.scope.values() if l.tag == fr.act]
-        doomed = sorted((l, r, t) for r in self.diagram.roots for l in own for t in self.diagram.successors(r, l))
+        doomed = [(l, r, t) for r in self.diagram.roots for l in own for t in self.diagram.successors(r, l)]
         for (l, s, t) in doomed:
             self._remove(l, s, t)
 

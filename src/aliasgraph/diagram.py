@@ -84,8 +84,10 @@ class AliasDiagram:
     """Mutable rooted labeled directed multigraph with set-valued edges.
 
     Parallel edges with distinct labels are allowed; a (label, source,
-    target) triple is stored at most once.  All bulk operations iterate
-    in sorted order so node allocation is deterministic.
+    target) triple is stored at most once.  Callers iterate in sorted
+    order only where a loop allocates nodes, so node ids do not depend
+    on set iteration order; a loop that only writes edges reaches the
+    same edges in any order.
     """
 
     def __init__(self) -> None:
@@ -136,9 +138,11 @@ class AliasDiagram:
             return False
         else:
             targets.add(target)
-        self.ensure_node(target)
         ins = self._in.get(target)
         if ins is None:
+            # a target that has an in-edge is a node already, so only
+            # a first in-edge can bring in a new node
+            self.ensure_node(target)
             self._in[target] = {(label, source)}
         else:
             ins.add((label, source))

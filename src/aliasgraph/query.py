@@ -164,13 +164,17 @@ def query_alias(engine, query: AliasQuery):
     """Paths that may denote the same object as the query path.
 
     Candidates come from the program's expression universe; a depth
-    bound widens them with every diagram path up to that length.
+    bound widens them with every diagram path up to that length.  The
+    state's root masks are built by its first query and kept in the
+    engine for the rest, so queries come after the analysis.
     """
     diagram, scope = _state_at(engine, query.at)
     candidates = set(engine.universe)
     if query.depth is not None:
         candidates |= _diagram_paths(diagram, scope, query.depth)
-    masks = RootMasks(diagram)
+    masks = engine.root_masks.get(query.at)
+    if masks is None:
+        masks = engine.root_masks[query.at] = RootMasks(diagram)
     qpath = resolve_path(query.path, scope)
     qtext = format_name_path(parse_name_path(query.path))
     out = set()

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aliasgraph
-from aliasgraph.calculus import FALSE, TRUE, UNKNOWN, AnalysisConfig, AnalysisError, Engine
+from aliasgraph.calculus import FALSE, TRUE, UNKNOWN, AnalysisConfig, AnalysisError, Engine, _DeltaFrame
 from aliasgraph.diagram import Label
 from aliasgraph.lang import parse_program
 from aliasgraph.query import AliasQuery, alias_pairs, query_alias
@@ -90,6 +90,90 @@ def test_void_prefix_warning_inside_a_callee_names_the_source_path():
     src = "class N feature next: N val: N y: N peek do y := next.val end end\nmain local a: N do create a a.peek end"
     messages = [d.message for d in run(src).diagnostics]
     assert messages == ["'next' is definitely void here; 'next.val' has no value"]
+
+
+# ---------------------------------------------------------------------------
+# the mutation funnel writes only the edges that change
+# ---------------------------------------------------------------------------
+
+
+def record_writes(diagram):
+    """Log every ``add_edge``/``remove_edge`` call on ``diagram``, with
+    its arguments, in the list returned."""
+    calls = []
+    for name in ("add_edge", "remove_edge"):
+        def spy(*edge, _name=name, _write=getattr(diagram, name)):
+            calls.append((_name,) + edge)
+            return _write(*edge)
+        setattr(diagram, name, spy)
+    return calls
+
+
+def relink_in_a_branch(e, target, per_root):
+    """Relink ``target`` under a fresh delta frame, as inside a choice
+    branch; returns the frame and the diagram writes made."""
+    frame = _DeltaFrame()
+    e.delta_stack.append(frame)
+    calls = record_writes(e.diagram)
+    e._relink_target(target, per_root, e.entry_frame, None)
+    for name in ("add_edge", "remove_edge"):
+        delattr(e.diagram, name)
+    e.delta_stack.pop()
+    return frame, calls
+
+
+def test_a_relink_that_keeps_every_worlds_value_records_an_empty_delta_frame():
+    e = run(EMPTY_CLASS + "main local a: C b: C do create a create b then b := a else a := b end end")
+    assert len(e.diagram.roots) == 2
+    a = e.entry_frame.scope["a"]
+    frame, calls = relink_in_a_branch(e, ("b",), e.diagram.value_sets_by_root((a,)))
+    assert (frame.added, frame.removed, calls) == (set(), set(), [])
+
+
+@pytest.mark.parametrize("target", [("a",), ("o", "n")])
+def test_a_relink_records_exactly_the_edges_that_change(target):
+    e = run(EMPTY_CLASS + "main local a: C o: C x: C y: C z: C do create o create x create y create z end")
+    (root,) = e.diagram.roots
+    x, y, z = (next(iter(values(e, name))) for name in ("x", "y", "z"))
+    e._relink_target(target, {root: frozenset({x, y})}, e.entry_frame, None)
+    frame, calls = relink_in_a_branch(e, target, {root: frozenset({y, z})})
+    owner = root if target == ("a",) else next(iter(values(e, "o")))
+    label = e.entry_frame.scope["a"] if target == ("a",) else Label("n")
+    assert frame.added == {(label, owner, z)}
+    assert frame.removed == {(label, owner, x)}
+    assert sorted(calls) == [("add_edge", label, owner, z), ("remove_edge", label, owner, x)]
+
+
+def test_replay_onto_a_memoized_clone_adds_only_the_edges_it_lacks(monkeypatch):
+    copied = []  # per clone: edges it should get, edges it lacked, add_edge calls
+    copy_onto_clone = Engine._copy_onto_clone
+
+    def spy(self, orig, copy, mapping):
+        g = self.diagram
+        wanted = {(l, copy, mapping.get(t, t)) for l, t in g.out_edges(orig)}
+        wanted |= {(l, s, copy) for l, s in g.in_edges(orig) if s not in mapping}
+        lacking = {(l, s, t) for l, s, t in wanted if t not in g.successors(s, l)}
+        calls = record_writes(g)
+        copy_onto_clone(self, orig, copy, mapping)
+        delattr(g, "add_edge")
+        delattr(g, "remove_edge")
+        assert all(t in g.successors(s, l) for l, s, t in wanted)
+        copied.append((wanted, lacking, calls))
+
+    monkeypatch.setattr(Engine, "_copy_onto_clone", spy)
+    run(EMPTY_CLASS + (
+        "main local v0: C v1: C v2: C do"
+        " create v0 create v1 create v2 v2 := v1"
+        " loop"
+        " then v1 := v0 else v2 := v0 end"
+        " then v0.n := v0 else v1 := v1 end"
+        " end"
+        " end"
+    ))
+    for wanted, lacking, calls in copied:
+        assert sorted(calls) == sorted(("add_edge",) + e for e in lacking)
+    # some clone came from the memo, already holding edges it needs
+    assert any(len(lacking) < len(wanted) for wanted, lacking, _ in copied)
 
 
 # ---------------------------------------------------------------------------

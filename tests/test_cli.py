@@ -16,6 +16,8 @@ from aliasgraph.cli import main
 
 from util import DEUTSCH_SRC, FLOW_SRC
 
+SCALED_DIR = Path(__file__).resolve().parent / "scaled"
+
 CLEAN_SRC = """class C feature n: C end
 main
 local
@@ -131,6 +133,43 @@ def test_json_output_is_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert set(doc) == {"program", "entry", "points", "final", "diagnostics"}
+
+
+def ladder_with_a_point():
+    """The scaled ladder(10), its fifth choice labelled P."""
+    text = (SCALED_DIR / "ladder10-seed1.oo").read_text()
+    head, sep, rest = text.partition("  then\n")
+    for _ in range(4):
+        more, sep, rest = rest.partition("  then\n")
+        head += sep + more
+    return head + "  P: then\n" + rest
+
+
+@pytest.mark.parametrize("name,entry,point", [("ring3-v0.oo", "C.run", "L1"), ("ladder10-seed1.oo", "main", "P")])
+def test_reports_do_not_depend_on_the_hash_seed(name, entry, point, tmp_path):
+    """Edge writes run in set order, which string hashing changes; the
+    JSON report and the DOT drawings of the final state and of a point
+    must come out byte for byte the same under two hash seeds."""
+    text = ladder_with_a_point() if point == "P" else (SCALED_DIR / name).read_text()
+    src_path = write(tmp_path, name, text)
+    pkg_root = str(Path(aliasgraph.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        out.mkdir()
+        common = [src_path, "--entry", entry, "--points"]
+        runs = [
+            common + ["--json", str(out / "report.json"), "--dot", str(out / "final.dot")],
+            common + ["--at", point, "--dot", str(out / "point.dot")],
+        ]
+        launcher = "from aliasgraph.cli import main\nfor argv in %r: assert main(['analyze'] + argv) == 0" % (runs,)
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / f).read_bytes() for f in ("report.json", "final.dot", "point.dot")])
+    assert outputs[0] == outputs[1]
+    assert b'"label": "%s"' % point.encode() in outputs[0][0]
 
 
 def test_json_to_stdout_is_pipe_clean(tmp_path, capsys):

@@ -61,6 +61,28 @@ def test_query_on_dispatch_worlds():
     assert "t.b" not in query_alias(e, AliasQuery("t.c"))
 
 
+def test_queries_at_one_state_share_its_root_masks(monkeypatch):
+    built = []
+
+    class CountingMasks(query_module.RootMasks):
+        def __init__(self, diagram):
+            built.append(diagram)
+            super().__init__(diagram)
+
+    monkeypatch.setattr(query_module, "RootMasks", CountingMasks)
+    e = run(DEUTSCH_SRC)
+    diagram, scope = e.snapshots["L2"]
+    texts = [format_name_path(np) for np in e.universe]
+    for text in texts:
+        qpath = resolve_path(text, scope)
+        want = {q for q in texts if q != text and may_alias(diagram, qpath, resolve_path(q, scope))}
+        assert query_alias(e, AliasQuery(text, at="L2")) == want
+    assert built == [diagram]
+    # the final state is another state, with masks of its own
+    assert query_alias(e, AliasQuery("Y")) == query_alias(e, AliasQuery("Y"))
+    assert built == [diagram, e.diagram]
+
+
 def test_query_unknown_point_is_an_error(copied_list):
     with pytest.raises(QueryError):
         query_alias(copied_list, AliasQuery("t2", at="L99"))
@@ -321,6 +343,7 @@ def fake_engine(g, paths):
         universe=universe,
         snapshots={"L2": (g, MASK_SCOPE), "L3": (g, MASK_SCOPE)},
         snapshot_order=["L2", "L3"],
+        root_masks={},
     )
 
 
@@ -417,7 +440,7 @@ def test_masks_of_different_roots_never_make_a_pair(nroots, second):
     g.add_edge(a, r2, m2)
     g.add_edge(b, r2, n)
     assert alias_pairs(g, {}, ["a", "b"]) == alias_pairs_reference(g, {}, ["a", "b"]) == []
-    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",), ("b",)}))
+    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",), ("b",)}), root_masks={})
     assert query_alias(engine, AliasQuery("a")) == set()
     assert query_alias(engine, AliasQuery("b", depth=1)) == set()
     g.add_edge(b, r1, n)
@@ -433,7 +456,7 @@ def test_paths_far_longer_than_the_recursion_limit_resolve():
     g.add_edge(Label("n"), x, x)
     long = "a" + ".n" * 2000
     assert alias_pairs(g, {}, [long, "a"]) == alias_pairs_reference(g, {}, [long, "a"]) == [("a", long)]
-    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",)}))
+    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",)}), root_masks={})
     assert query_alias(engine, AliasQuery(long)) == {"a"}
     assert len(query_alias(engine, AliasQuery("a", depth=1500))) == 1499
 

@@ -5,8 +5,11 @@ in ``bench/workloads.py`` and the final alias pairs an analysis gave for
 them before the diagram was indexed, when the four together took about
 23 s.  A fifth, from ``oracles.wide_ring``, has 64 roots and 400 paths;
 its pairs were frozen before alias pairs were computed with root masks,
-when its report took about 1.2 s.  Each entry of ``frozen.json`` names
-its generator call.  Each program's sha256 is frozen with its pairs, so
+when its report took about 1.2 s.  A sixth, ladder(seed=1, k=14), has
+16,384 roots; its pairs were frozen before edge writes skipped the
+edges a node already has, when it analyzed in about 1.1 s, so a cost
+that grows faster than the root count shows here.  Each entry of
+``frozen.json`` names its generator call.  Each program's sha256 is frozen with its pairs, so
 a changed copy fails instead of being checked against answers for
 another program.
 """
