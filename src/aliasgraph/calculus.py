@@ -33,10 +33,11 @@ representation small.
 Termination of loop and recursion fixpoints rests on three policies:
 iteration stops when the live state repeats (the step is deterministic,
 so a repeat closes the orbit and the boundary union is complete), each
-creation site may mint at most `cap` fresh nodes per enclosing fixpoint
+creation site may mint at most `cap` fresh nodes per outermost fixpoint
 (then its capped node is reused), and branch clones made inside a
 fixpoint are memoized per (choice, branch, root) so re-executions reuse
-them instead of minting more.
+them instead of minting more.  Nested loops and recursions share the
+outermost fixpoint's scope, which holds both.
 
 Recursive calls descend while their context is new.  A context is the
 routine plus its receivers (unqualified: the roots and the caller's
@@ -79,7 +80,7 @@ UNROLL_LIMIT = 4
 
 @dataclass
 class AnalysisConfig:
-    cap: int = 1  # creation allowance per site per enclosing fixpoint
+    cap: int = 1  # creation allowance per site per outermost fixpoint
     max_iters: int = 1000  # fixpoint iteration ceiling
     record_points: bool = True
 
@@ -117,13 +118,13 @@ class _DeltaFrame:
 
 @dataclass
 class _FixpointScope:
-    """Per-fixpoint bookkeeping: creation counters, and the world
-    registry that keeps re-executed choices stable."""
+    """The outermost fixpoint's bookkeeping, shared by every fixpoint
+    nested in it: creation counters, and the world registry that keeps
+    re-executed choices stable."""
 
     counters: Dict[int, int] = field(default_factory=dict)
     capped: Dict[int, NodeId] = field(default_factory=dict)
     clone_memo: Dict[Tuple[NodeId, FrozenSet[Tuple[int, int]]], NodeId] = field(default_factory=dict)
-    iterations: int = 0
 
 
 @dataclass
@@ -162,12 +163,11 @@ class Engine:
         self._diag_seen = set()
         self.snapshots: Dict[str, Tuple[AliasDiagram, Dict[str, Label]]] = {}
         self.snapshot_order: List[str] = []
-        # point (None: the final state) -> its ``query.RootMasks``, built
-        # by the first query there and reused by the rest
-        self.root_masks: Dict[Optional[str], object] = {}
         self.delta_stack: List[_DeltaFrame] = []
-        self.fix_stack: List[_FixpointScope] = []
+        # the outermost running fixpoint's scope; None outside fixpoints
+        self.fixpoint: Optional[_FixpointScope] = None
         self.call_stack: List[_Frame] = []
+        # clone -> its world identity (``_branch_clone``); later fixpoints read it too
         self.lineage: Dict[NodeId, Tuple[NodeId, FrozenSet[Tuple[int, int]]]] = {}
         self._next_act = 0
         self.entry_name: Optional[str] = None
@@ -355,14 +355,13 @@ class Engine:
                 frozenset(per_root_vals.get(r, ())),
             )
             classes.setdefault(intent, []).append(r)
-        updating = sorted(
-            ((owners, vals, roots) for (owners, vals), roots in classes.items() if owners),
-            key=lambda c: c[2],
-        )
-        plans = []
-        for owners, vals, class_roots in updating:
-            copies, weak = self._privatize(owners, class_roots)
-            plans.append((owners, vals, copies, weak))
+        # the groups are disjoint and were filled in root order, so they
+        # are privatized (and their copies allocated) in that order
+        plans = [
+            (owners, vals) + self._privatize(owners, class_roots)
+            for (owners, vals), class_roots in classes.items()
+            if owners
+        ]
         for owners, vals, copies, weak in plans:
             targets = {copies.get(v, v) for v in vals}
             for o in owners:
@@ -407,7 +406,7 @@ class Engine:
         if not contested:
             return {}, frozenset()
         forkable = {o for o in contested if o not in g.roots}
-        if self.fix_stack or not forkable:
+        if self.fixpoint is not None or not forkable:
             return {}, frozenset(contested)
         reach_mine = g.reach_within(class_roots, ancestors)
         cone = set(forkable)
@@ -445,24 +444,17 @@ class Engine:
         self._relink_target((instr.target,), per_root, frame, instr.pos)
 
     def _creation_node(self, site):
-        if not self.fix_stack:
+        scope = self.fixpoint
+        if scope is None:
             return self.diagram.fresh_node()
-        for scope in self.fix_stack:
-            scope.counters[site] = scope.counters.get(site, 0) + 1
-        if any(scope.counters[site] > self.config.cap for scope in self.fix_stack):
+        count = scope.counters[site] = scope.counters.get(site, 0) + 1
+        if count > self.config.cap:
             # over allowance: reuse the site's capped node so iteration
-            # cannot mint fresh objects forever.  An outer scope has counted
-            # every creation an inner one has, so the outermost scope is
-            # over the cap whenever any is, and it recorded its capped node
-            # when it reached the cap.
-            for scope in reversed(self.fix_stack):
-                if scope.counters[site] > self.config.cap and site in scope.capped:
-                    return scope.capped[site]
-            raise AssertionError("creation counter exceeded with no capped node")
+            # cannot mint fresh objects forever
+            return scope.capped[site]
         node = self.diagram.fresh_node()
-        for scope in self.fix_stack:
-            if scope.counters[site] == self.config.cap:
-                scope.capped[site] = node
+        if count == self.config.cap:
+            scope.capped[site] = node
         return node
 
     # ------------------------------------------------------------------
@@ -471,12 +463,11 @@ class Engine:
 
     def apply_choice(self, instr, frame):
         # guards are evaluated once, against the state before the choice
-        live = [
+        self._run_branches(id(instr), [
             (lambda body=body: self.apply_compound(body, frame))
             for cond, body in instr.branches
             if cond is None or self.eval_cond(cond, frame) != FALSE
-        ]
-        self._run_branches(id(instr), live)
+        ])
 
     def _run_branches(self, site, live):
         # never empty: an if's else guard negates its last condition, so
@@ -508,18 +499,13 @@ class Engine:
             assert self.diagram.roots == pre_roots, "a branch left the root set unbalanced"
             frames.append(frame)
 
-        in_fixpoint = bool(self.fix_stack)
         touched_first = {s for (_, s, _) in frames[0].added | frames[0].removed}
         mappings: List[Dict[NodeId, NodeId]] = []
-        for b in range(1, len(frames)):
-            frame = frames[b]
-            mapping: Dict[NodeId, NodeId] = {}
+        for b, frame in enumerate(frames[1:], 1):
             touched = {s for (_, s, _) in frame.added | frame.removed}
             clone_sources = pre_roots | {s for s in (touched | touched_first) if s < watermark}
             # sorted: clones are allocated in this order
-            for orig in sorted(clone_sources):
-                mapping[orig] = self._branch_clone(site, b, orig, in_fixpoint, is_root=orig in self.diagram.roots)
-            mappings.append(mapping)
+            mappings.append({orig: self._branch_clone(site, b, orig) for orig in sorted(clone_sources)})
 
         # copy the restored state onto the clones before any branch
         # effect lands; clone-to-clone references stay inside the world
@@ -528,16 +514,8 @@ class Engine:
                 if copy != orig:
                     self._copy_onto_clone(orig, copy, mapping)
 
-        # branch one applies in place
-        for (l, s, t) in frames[0].added:
-            self._add(l, s, t)
-        for (l, s, t) in frames[0].removed:
-            self._remove(l, s, t)
-        for r in frames[0].roots_added:
-            self._add_root(r)
-        # the rest apply through their mappings
-        for b in range(1, len(frames)):
-            frame, mapping = frames[b], mappings[b - 1]
+        # branch one applies in place, the rest through their mappings
+        for frame, mapping in zip(frames, [{}] + mappings):
             for (l, s, t) in frame.added:
                 self._add(l, mapping.get(s, s), mapping.get(t, t))
             for (l, s, t) in frame.removed:
@@ -548,7 +526,7 @@ class Engine:
     def _copy_onto_clone(self, orig, copy, mapping):
         """Give ``copy`` the edges of ``orig`` it lacks: its out-edges,
         re-targeted through ``mapping``, and the in-edges of its unmapped
-        parents.  A clone memoized by an enclosing fixpoint already holds
+        parents.  A clone memoized by the running fixpoint already holds
         most of them from an earlier pass."""
         g = self.diagram
         for l, t in g.out_edges(orig):
@@ -561,37 +539,30 @@ class Engine:
             if s not in mapping and copy not in g.successors(s, l):
                 self._add(l, s, copy)
 
-    def _branch_clone(self, site, b, orig, in_fixpoint, is_root):
-        if not in_fixpoint:
+    def _branch_clone(self, site, b, orig):
+        is_root = orig in self.diagram.roots
+        scope = self.fixpoint
+        if scope is None:
             clone = self.diagram.fresh_node()
-            if is_root:
-                self._add_root(clone)
-            return clone
-        # Inside a fixpoint a re-executed choice must not keep growing
-        # the diagram, so clones carry a world identity: the node their
-        # chain started from plus one (site, branch) entry per choice
-        # passed through, the newest entry per site winning.  Forking a
-        # node at a site already on its record lands on an identity that
-        # exists, so the fork reuses that world's node instead of
-        # chaining a fresh one (two choices forking each other's clones
-        # would otherwise alternate new worlds every pass).  The registry
-        # is consulted across every enclosing fixpoint: an inner loop's
-        # scope is fresh on each outer iteration, so the outer scope
-        # must remember the worlds too.
-        base, anc = self.lineage.get(orig, (orig, frozenset()))
-        key = (base, frozenset(p for p in anc if p[0] != site) | {(site, b)})
-        if key == (base, anc):
-            return orig
-        for scope in reversed(self.fix_stack):
-            if key in scope.clone_memo:
-                clone = scope.clone_memo[key]
-                if is_root:
-                    self._add_root(clone)
-                return clone
-        clone = self.diagram.fresh_node()
-        self.lineage[clone] = key
-        for scope in self.fix_stack:
-            scope.clone_memo[key] = clone
+        else:
+            # Inside a fixpoint a re-executed choice must not keep growing
+            # the diagram, so clones carry a world identity: the node their
+            # chain started from plus one (site, branch) entry per choice
+            # passed through, the newest entry per site winning.  Forking a
+            # node at a site already on its record lands on an identity
+            # that exists, so the fork reuses that world's node instead of
+            # chaining a fresh one (two choices forking each other's clones
+            # would otherwise alternate new worlds every pass).  Nested
+            # fixpoints share the outermost one's registry, so an inner
+            # loop re-run on each outer iteration finds its worlds again.
+            base, anc = self.lineage.get(orig, (orig, frozenset()))
+            key = (base, frozenset(p for p in anc if p[0] != site) | {(site, b)})
+            if key == (base, anc):
+                return orig
+            clone = scope.clone_memo.get(key)
+            if clone is None:
+                clone = scope.clone_memo[key] = self.diagram.fresh_node()
+                self.lineage[clone] = key
         if is_root:
             self._add_root(clone)
         return clone
@@ -622,22 +593,24 @@ class Engine:
         further iteration replays edges the union already has.  (A plain
         "unchanged since last pass" check can quit one pass early when
         the step oscillates between states whose union looks stable.)
+
+        The outermost fixpoint opens the scope that every fixpoint
+        nested in it shares, and closes it when it ends.
         """
-        scope = _FixpointScope()
-        self.fix_stack.append(scope)
-        key = self._state_key()
-        seen = {key}
-        while True:
-            if scope.iterations == self.config.max_iters:
-                self._diag("error", overflow_message, pos)
-                break
-            scope.iterations += 1
+        outermost = self.fixpoint is None
+        if outermost:
+            self.fixpoint = _FixpointScope()
+        seen = {self._state_key()}
+        for _ in range(self.config.max_iters):
             step()
             key = self._state_key()
             if key in seen:
                 break
             seen.add(key)
-        self.fix_stack.pop()
+        else:
+            self._diag("error", overflow_message, pos)
+        if outermost:
+            self.fixpoint = None
         self._restore_union(seen)
 
     def _state_key(self):
@@ -655,15 +628,11 @@ class Engine:
         # the result is the union over all iteration counts, so edges an
         # iteration-boundary state (a key in ``states``) had come back.
         # Edges that only lived mid-pass do not: no iteration count ever
-        # exhibits them.  Names of activations that closed meanwhile stay
-        # out (their scopes no longer exist); every activation opened
-        # inside the fixpoint has closed by now, so those are the tags no
-        # live frame carries.
-        live = {fr.act for fr in self.call_stack}
+        # exhibits them.  Every boundary state was taken on this call
+        # stack, after each activation the step opened had closed and
+        # swept its names, so no edge here names a closed activation.
         missing = frozenset().union(*(key[0] for key in states)) - self.diagram.edge_set()
         for (l, s, t) in missing:
-            if l.tag and l.tag not in live:
-                continue
             self._add(l, s, t)
 
     # ------------------------------------------------------------------

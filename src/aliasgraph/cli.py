@@ -210,7 +210,7 @@ def _build_parser():
     shared.add_argument("--entry", default="main", metavar="NAME",
                         help="entry routine: Class.routine or a top-level name (default: main)")
     shared.add_argument("--cap", type=int, default=1, metavar="N",
-                        help="creation allowance per site inside a fixpoint (default: 1)")
+                        help="creation allowance per site per outermost fixpoint (default: 1)")
     shared.add_argument("--max-iters", type=int, default=1000, metavar="N",
                         help="fixpoint iteration ceiling (default: 1000)")
 

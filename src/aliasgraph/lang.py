@@ -618,15 +618,14 @@ class ClassTable:
         return None
 
     def descendants(self, cname):
-        """Proper descendants in deterministic order: by distance, then name."""
-        out = []
+        """Proper descendants in deterministic order: by distance, then name.
+        An inheritance cycle through cname does not make it its own."""
+        out, seen = [], {cname}
         frontier = [cname]
         while frontier:
-            children = sorted(
-                c.name for c in self.classes.values() if c.parent in frontier
-            )
-            out.extend(children)
-            frontier = children
+            frontier = sorted(c.name for c in self.classes.values() if c.parent in frontier and c.name not in seen)
+            seen.update(frontier)
+            out.extend(frontier)
         return out
 
     def dispatch_versions(self, cname, rname):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,6 +99,10 @@ class RootMasks:
         return any(mask & b.get(n, 0) for n, mask in a.items())
 
 
+# a stored state's diagram -> its masks, kept while the diagram lives
+_STATE_MASKS: "weakref.WeakKeyDictionary[AliasDiagram, RootMasks]" = weakref.WeakKeyDictionary()
+
+
 # ---------------------------------------------------------------------------
 # alias pairs and query answering
 # ---------------------------------------------------------------------------
@@ -165,16 +170,16 @@ def query_alias(engine, query: AliasQuery):
 
     Candidates come from the program's expression universe; a depth
     bound widens them with every diagram path up to that length.  The
-    state's root masks are built by its first query and kept in the
-    engine for the rest, so queries come after the analysis.
+    state's root masks are built by its first query and kept for the
+    rest, so queries come after the analysis.
     """
     diagram, scope = _state_at(engine, query.at)
     candidates = set(engine.universe)
     if query.depth is not None:
         candidates |= _diagram_paths(diagram, scope, query.depth)
-    masks = engine.root_masks.get(query.at)
+    masks = _STATE_MASKS.get(diagram)
     if masks is None:
-        masks = engine.root_masks[query.at] = RootMasks(diagram)
+        masks = _STATE_MASKS[diagram] = RootMasks(diagram)
     qpath = resolve_path(query.path, scope)
     qtext = format_name_path(parse_name_path(query.path))
     out = set()

@@ -401,6 +401,59 @@ def test_loop_with_until_is_analyzed_as_plain_loop():
     assert aliased(e, "l", "u")  # the exit condition does not narrow anything
 
 
+NESTED_LOOPS_SRC = (
+    "class C feature n: C end\n"
+    "main local a: C b: C c: C do\n"
+    "  create a\n"
+    "  loop\n"
+    "    b := a\n"
+    "    loop create c then c.n := b else b := c end end\n"
+    "    a.n := c\n"
+    "  end\n"
+    "end\n"
+)
+NESTED_LOOPS_PAIRS = [
+    ("a", "b"), ("a", "c.n"), ("a.n", "b"), ("a.n", "c"), ("a.n", "c.n"), ("b", "c"), ("b", "c.n"), ("c", "c.n"),
+]
+LOOP_IN_RECURSION_SRC = (
+    "class C feature\n"
+    "  n: C\n"
+    "  walk (x: C): C local t: C do\n"
+    "    Result := x\n"
+    "    loop create t then t.n := Result else Result := t end end\n"
+    "    then skip else Result := walk (Result.n) end\n"
+    "  end\n"
+    "  run local a: C y: C z: C do create a a.n := a y := walk (a) z := y.n end\n"
+    "end\n"
+)
+# every pair of the five paths
+LOOP_IN_RECURSION_PAIRS = [
+    ("a", "a.n"), ("a", "y"), ("a", "y.n"), ("a", "z"), ("a.n", "y"),
+    ("a.n", "y.n"), ("a.n", "z"), ("y", "y.n"), ("y", "z"), ("y.n", "z"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, entry, cap, pairs, nodes, roots",
+    [
+        (NESTED_LOOPS_SRC, "main", 1, NESTED_LOOPS_PAIRS, 5, 2),
+        (NESTED_LOOPS_SRC, "main", 2, NESTED_LOOPS_PAIRS, 7, 2),
+        (LOOP_IN_RECURSION_SRC, "C.run", 1, LOOP_IN_RECURSION_PAIRS, 48, 37),
+        (LOOP_IN_RECURSION_SRC, "C.run", 2, LOOP_IN_RECURSION_PAIRS, 58, 37),
+    ],
+    ids=["loops-cap1", "loops-cap2", "recursion-cap1", "recursion-cap2"],
+)
+def test_nested_fixpoints_share_the_outermost_caps_and_worlds(source, entry, cap, pairs, nodes, roots):
+    # creation and a free choice in a loop nested in a loop, or in a
+    # recursive routine's body; the answers and the node and root counts
+    # were frozen when each nested fixpoint kept a scope of its own
+    e = run(source, entry, cap=cap)
+    assert alias_pairs(e.diagram, e.report_scope(), e.universe) == pairs
+    assert (len(e.diagram.nodes), len(e.diagram.roots)) == (nodes, roots)
+    assert not e.diagnostics
+    assert e.fixpoint is None
+
+
 # ---------------------------------------------------------------------------
 # calls
 # ---------------------------------------------------------------------------
@@ -926,6 +979,28 @@ def test_entry_formals_start_unbound_with_a_warning():
     e = Engine(prog)
     e.analyze("f")
     assert any("unbound" in d.message for d in e.diagnostics)
+
+
+def test_cyclic_inheritance_does_not_hang_an_unresolved_analysis():
+    """``resolve`` refuses an inheritance cycle, but the library call
+    ``analyze_program(parse_program(src), entry)`` skips it; dispatch over
+    the cycle's descendants must still end.  Run in a child process so
+    a hang fails the test instead of stalling the suite."""
+    pkg_root = str(Path(aliasgraph.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    probe = (
+        "from aliasgraph import analyze_program, parse_program\n"
+        "from aliasgraph.lang import ClassTable\n"
+        "src = 'class A inherit B feature g do end end class B inherit A feature end '\n"
+        "src += 'main local x: A do create x x.g end'\n"
+        "program = parse_program(src)\n"
+        "print(ClassTable(program).descendants('A'), ClassTable(program).descendants('B'))\n"
+        "print(len(analyze_program(program, 'main').diagram.roots))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['B'] ['A']", "1"]
 
 
 # ---------------------------------------------------------------------------

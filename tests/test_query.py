@@ -343,7 +343,6 @@ def fake_engine(g, paths):
         universe=universe,
         snapshots={"L2": (g, MASK_SCOPE), "L3": (g, MASK_SCOPE)},
         snapshot_order=["L2", "L3"],
-        root_masks={},
     )
 
 
@@ -440,7 +439,7 @@ def test_masks_of_different_roots_never_make_a_pair(nroots, second):
     g.add_edge(a, r2, m2)
     g.add_edge(b, r2, n)
     assert alias_pairs(g, {}, ["a", "b"]) == alias_pairs_reference(g, {}, ["a", "b"]) == []
-    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",), ("b",)}), root_masks={})
+    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",), ("b",)}))
     assert query_alias(engine, AliasQuery("a")) == set()
     assert query_alias(engine, AliasQuery("b", depth=1)) == set()
     g.add_edge(b, r1, n)
@@ -456,7 +455,7 @@ def test_paths_far_longer_than_the_recursion_limit_resolve():
     g.add_edge(Label("n"), x, x)
     long = "a" + ".n" * 2000
     assert alias_pairs(g, {}, [long, "a"]) == alias_pairs_reference(g, {}, [long, "a"]) == [("a", long)]
-    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",)}), root_masks={})
+    engine = SimpleNamespace(diagram=g, report_scope=lambda: {}, universe=ExprUniverse({("a",)}))
     assert query_alias(engine, AliasQuery(long)) == {"a"}
     assert len(query_alias(engine, AliasQuery("a", depth=1500))) == 1499
 
