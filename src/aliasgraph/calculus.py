@@ -34,7 +34,7 @@ Termination of loop and recursion fixpoints rests on three policies:
 iteration stops when the live state repeats (the step is deterministic,
 so a repeat closes the orbit and the boundary union is complete), each
 creation site may mint at most `cap` fresh nodes per outermost fixpoint
-(then its capped node is reused), and branch clones made inside a
+(then its last one is reused), and branch clones made inside a
 fixpoint are memoized per (choice, branch, root) so re-executions reuse
 them instead of minting more.  Nested loops and recursions share the
 outermost fixpoint's scope, which holds both.
@@ -119,11 +119,10 @@ class _DeltaFrame:
 @dataclass
 class _FixpointScope:
     """The outermost fixpoint's bookkeeping, shared by every fixpoint
-    nested in it: creation counters, and the world registry that keeps
-    re-executed choices stable."""
+    nested in it: the nodes each creation site minted, and the world
+    registry that keeps re-executed choices stable."""
 
-    counters: Dict[int, int] = field(default_factory=dict)
-    capped: Dict[int, NodeId] = field(default_factory=dict)
+    minted: Dict[int, List[NodeId]] = field(default_factory=dict)
     clone_memo: Dict[Tuple[NodeId, FrozenSet[Tuple[int, int]]], NodeId] = field(default_factory=dict)
 
 
@@ -447,15 +446,12 @@ class Engine:
         scope = self.fixpoint
         if scope is None:
             return self.diagram.fresh_node()
-        count = scope.counters[site] = scope.counters.get(site, 0) + 1
-        if count > self.config.cap:
-            # over allowance: reuse the site's capped node so iteration
-            # cannot mint fresh objects forever
-            return scope.capped[site]
-        node = self.diagram.fresh_node()
-        if count == self.config.cap:
-            scope.capped[site] = node
-        return node
+        minted = scope.minted.setdefault(site, [])
+        if len(minted) < self.config.cap:
+            minted.append(self.diagram.fresh_node())
+        # over allowance, the site's last node is reused, so iteration
+        # cannot mint fresh objects forever
+        return minted[-1]
 
     # ------------------------------------------------------------------
     # choices
@@ -568,7 +564,6 @@ class Engine:
         return clone
 
     def _add_root(self, node):
-        self.diagram.ensure_node(node)
         if node not in self.diagram.roots:
             self.diagram.roots.add(node)
             if self.delta_stack:
@@ -657,9 +652,6 @@ class Engine:
         versions = self.table.dispatch_versions(static_t, call.name) if static_t else []
         if not versions:
             self._diag("error", "cannot resolve call %r on %r" % (call.name, ".".join(call.target)), pos)
-            return
-        if len(versions) == 1:
-            self._qualified_one(versions[0], call, frame, assign_target, pos)
             return
         # dynamic binding: one branch per version the receiver may carry
         thunks = [

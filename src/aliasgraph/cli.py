@@ -4,7 +4,8 @@ Two commands: `analyze` runs one program and renders its reports,
 `corpus` checks a directory of programs against frozen expectations.
 
 Exit status: 0 clean, 1 analysis reported errors (or expectations
-failed), 2 unusable input (parse/static errors, bad entry, bad paths).
+failed), 2 unusable input (parse/static errors, bad entry, bad paths, a cap or
+iteration ceiling below 1, a program that nests too deeply).
 """
 
 import argparse
@@ -53,32 +54,30 @@ def _load(path, entry, config):
     AnalysisConfig. Returns (engine, exit_code)."""
     try:
         program = parse_file(path)
+        static = resolve(program)
+        _print_diagnostics(static)
+        if any(d.severity == "error" for d in static):
+            return None, 2
+        engine = Engine(program, config)
+        engine.analyze(entry)
     except OSError as exc:
         print(_paint("cannot read %s: %s" % (path, exc), "31"), file=sys.stderr)
         return None, 2
     except ParseError as exc:
         print(_paint(exc.diagnostic.render(), "31"), file=sys.stderr)
         return None, 2
-    static = resolve(program)
-    _print_diagnostics(static)
-    if any(d.severity == "error" for d in static):
-        return None, 2
-    engine = Engine(program, config)
-    try:
-        engine.analyze(entry)
     except AnalysisError as exc:
         print(_paint(str(exc), "31"), file=sys.stderr)
+        return None, 2
+    except RecursionError:
+        # the parser and the analysis recurse on nested constructs and calls
+        print(_paint("%s: the program nests too deeply to analyze" % path, "31"), file=sys.stderr)
         return None, 2
     return engine, 0
 
 
-def run(args) -> int:
+def run(args, config) -> int:
     """The `analyze` command, on the parsed command line."""
-    config = AnalysisConfig(
-        cap=args.cap,
-        max_iters=args.max_iters,
-        record_points=bool(args.points or args.at or args.deutsch),
-    )
     engine, rc = _load(args.file, args.entry, config)
     if rc:
         return rc
@@ -160,7 +159,7 @@ def _pairs_as_sets(doc):
     return out
 
 
-def run_corpus(args) -> int:
+def run_corpus(args, config) -> int:
     """The `corpus` command: .oo files vs adjacent .expected.json."""
     root = args.dir
     if not os.path.isdir(root):
@@ -177,7 +176,6 @@ def run_corpus(args) -> int:
             continue
         with open(want_path, "r", encoding="utf-8") as fh:
             want_doc = json.load(fh)
-        config = AnalysisConfig(cap=args.cap, max_iters=args.max_iters, record_points=True)
         engine, rc = _load(oo_path, want_doc.get("entry", args.entry), config)
         if rc:
             print(_paint("FAIL %s (did not analyze)" % name, "31"))
@@ -239,15 +237,19 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.cap < 1 or args.max_iters < 1:
-        print("cap and iteration ceiling must be at least 1", file=sys.stderr)
+    corpus = args.command == "corpus"
+    try:
+        config = AnalysisConfig(cap=args.cap, max_iters=args.max_iters,
+                                record_points=corpus or bool(args.points or args.at or args.deutsch))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if args.command == "analyze":
-        if args.json == "-" and args.dot == "-":
-            print("--json and --dot cannot both write to stdout", file=sys.stderr)
-            return 2
-        return run(args)
-    return run_corpus(args)
+    if corpus:
+        return run_corpus(args, config)
+    if args.json == "-" and args.dot == "-":
+        print("--json and --dot cannot both write to stdout", file=sys.stderr)
+        return 2
+    return run(args, config)
 
 
 if __name__ == "__main__":

@@ -595,7 +595,8 @@ class ClassTable:
         self.classes = program.classes
 
     def ancestry(self, cname):
-        """cname and its ancestors, nearest first.  Assumes acyclicity."""
+        """cname and its ancestors, nearest first; an inheritance cycle
+        ends the chain where it repeats a class."""
         chain = []
         seen = set()
         while cname is not None and cname in self.classes and cname not in seen:

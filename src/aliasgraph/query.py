@@ -1,9 +1,12 @@
-"""Alias queries over analysis results, list-shape checkers, reports.
+"""Alias queries over analysis results, the list-copy properties, reports.
 
-Everything here is read-only over a diagram plus a name scope: queries
-resolve source-level path strings to label paths, answer alias
-questions for every root at once through root masks (``RootMasks``),
-and render the answers (JSON document, DOT drawing).
+Everything here is read-only over a diagram plus a name scope.  Every
+answer resolves its name paths one way, through ``label_path``, and
+answers for every root at once through root masks (``RootMasks``): the
+alias pairs of a report, the answers to a query (with the diagram paths
+a depth bound adds), and the list-copy properties, which are families of
+path pairs that must not alias.  The answers are rendered as a JSON
+document or a DOT drawing.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import json
 import re
 import weakref
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from aliasgraph.diagram import AliasDiagram, Label, NodeId, format_name_path, label_path, parse_name_path
@@ -47,6 +51,9 @@ def resolve_path(text, scope=None):
 # root masks
 # ---------------------------------------------------------------------------
 
+# a trie entry: a path's masks, and label -> the entry one step further
+_Entry = Tuple[Dict[NodeId, int], dict]
+
 
 class RootMasks:
     """Value sets of label paths under every root of a diagram at once.
@@ -65,38 +72,45 @@ class RootMasks:
         self.diagram = diagram
         self.bits = {r: 1 << i for i, r in enumerate(sorted(diagram.roots))}
         self.all_bits = (1 << len(self.bits)) - 1
-        # a trie of resolved prefixes: (masks, label -> next step)
-        self._trie: Tuple[Dict[NodeId, int], dict] = (dict(self.bits), {})
+        # a trie of resolved prefixes: (masks, label -> next entry)
+        self._trie: _Entry = (dict(self.bits), {})
         self._heads = [(diagram.out_map(r), bit) for r, bit in self.bits.items()]
 
     def of(self, path: Sequence[Label]) -> Dict[NodeId, int]:
         """node -> bits of the roots whose value set of ``path`` holds it."""
-        masks, steps = self._trie
-        for i, label in enumerate(path):
+        return self.entry(path)[0]
+
+    def entry(self, path: Sequence[Label], start: Optional[_Entry] = None) -> _Entry:
+        """The trie entry of ``path``, walked from ``start`` (default: the
+        roots)."""
+        masks, steps = found = start or self._trie
+        for label in path:
             if not masks:
                 break  # no value: no longer path has one either
-            step = steps.get(label)
-            if step is None:
-                got: Dict[NodeId, int] = {}
-                if i == 0:
-                    # the roots' out-maps, looked up once per masks object
-                    for out, bit in self._heads:
-                        for t in out.get(label, ()):
-                            got[t] = got.get(t, 0) | bit
-                else:
-                    for n, mask in masks.items():
-                        for t in self.diagram.successors(n, label):
-                            got[t] = got.get(t, 0) | mask
-                step = steps[label] = (got, {})
-            masks, steps = step
-        return masks
+            masks, steps = found = steps.get(label) or self._extend(masks, steps, label)
+        return found
 
-    def alias(self, p: Sequence[Label], q: Sequence[Label]) -> bool:
-        """True when some single root sees the two paths share a node."""
-        a, b = self.of(p), self.of(q)
-        if len(b) < len(a):
-            a, b = b, a
-        return any(mask & b.get(n, 0) for n, mask in a.items())
+    def _extend(self, masks, steps, label):
+        got: Dict[NodeId, int] = {}
+        if steps is self._trie[1]:
+            # the roots' out-maps, looked up once per masks object
+            for out, bit in self._heads:
+                for t in out.get(label, ()):
+                    got[t] = got.get(t, 0) | bit
+        else:
+            for n, mask in masks.items():
+                for t in self.diagram.successors(n, label):
+                    got[t] = got.get(t, 0) | mask
+        found = steps[label] = (got, {})
+        return found
+
+
+def _meet(a: Dict[NodeId, int], b: Dict[NodeId, int]) -> bool:
+    """True when two paths with these masks may alias: some single root
+    sees them share a node."""
+    if len(b) < len(a):
+        a, b = b, a
+    return any(mask & b.get(n, 0) for n, mask in a.items())
 
 
 # a stored state's diagram -> its masks, kept while the diagram lives
@@ -133,35 +147,29 @@ def alias_pairs(diagram, scope, name_paths):
     return sorted(pairs)
 
 
-def _diagram_paths(diagram, scope, depth):
-    """Expressible label paths up to the given length, as name strings.
-    Where the scope binds ``Current`` (a qualified call's receiver), the
-    fields are those of the objects it reaches, named without it."""
+def _diagram_paths(masks, scope, depth):
+    """Name paths up to ``depth`` long that have a value, with its masks.
+
+    A path starts as a query's does, with a scoped name or a field of the
+    current object, and goes on through fields.  Each resolves as
+    ``label_path`` resolves it; an extension steps on from its prefix's
+    entry in the masks' trie.
+    """
     scope = scope or {}
-    current = scope.get("Current")
-    by_label = {lbl: name for name, lbl in scope.items() if lbl != current}
-    found = set()
-    stack = [((), frozenset(diagram.roots), True)]
-    if current is not None:
-        stack.append(((), diagram.value_set((current,)), False))
+    g = masks.diagram
+
+    def fields(nodes):
+        return {lbl.name for n in nodes for lbl in g.out_map(n) if not lbl.tag}
+
+    heads = (set(scope) - {"Current"}) | fields(masks.of(label_path((), scope)))
+    stack = [((name,), masks.entry(label_path((name,), scope))) for name in heads]
+    found = {}
     while stack:
-        trail, nodes, at_root = stack.pop()
-        if len(trail) >= depth:
-            continue
-        labels = set()
-        for n in nodes:
-            labels.update(diagram.out_map(n))
-        for lbl in sorted(labels):
-            # scoped names only start a path, and only in scope; under a
-            # ``Current``, the roots' own fields belong to the caller
-            if (lbl.tag or (at_root and current is not None)) and not (at_root and lbl in by_label):
-                continue
-            nxt = frozenset().union(*(diagram.successors(n, lbl) for n in nodes))
-            if not nxt:
-                continue
-            new_trail = trail + (by_label.get(lbl, lbl.name),)
-            found.add(new_trail)
-            stack.append((new_trail, nxt, False))
+        trail, entry = stack.pop()
+        if entry[0]:
+            found[trail] = entry[0]
+            if len(trail) < depth:
+                stack += [(trail + (name,), masks.entry((Label(name),), entry)) for name in fields(entry[0])]
     return found
 
 
@@ -174,20 +182,17 @@ def query_alias(engine, query: AliasQuery):
     rest, so queries come after the analysis.
     """
     diagram, scope = _state_at(engine, query.at)
-    candidates = set(engine.universe)
-    if query.depth is not None:
-        candidates |= _diagram_paths(diagram, scope, query.depth)
     masks = _STATE_MASKS.get(diagram)
     if masks is None:
         masks = _STATE_MASKS[diagram] = RootMasks(diagram)
-    qpath = resolve_path(query.path, scope)
+    candidates = {np: masks.of(label_path(np, scope)) for np in engine.universe}
+    if query.depth is not None:
+        candidates.update(_diagram_paths(masks, scope, query.depth))
+    mine = masks.of(resolve_path(query.path, scope))
     qtext = format_name_path(parse_name_path(query.path))
-    out = set()
-    for np in candidates:
-        text = format_name_path(np)
-        if text != qtext and masks.alias(qpath, label_path(np, scope)):
-            out.add(text)
-    return out
+    answers = {format_name_path(np) for np, theirs in candidates.items() if _meet(mine, theirs)}
+    answers.discard(qtext)
+    return answers
 
 
 def _state_at(engine, at):
@@ -201,12 +206,8 @@ def _state_at(engine, at):
 
 
 # ---------------------------------------------------------------------------
-# bounded list-shape checkers
+# list-copy properties
 # ---------------------------------------------------------------------------
-
-
-def _spine(base, tl, i):
-    return base + (tl,) * i
 
 
 def check_acyclic(diagram, p, via, k, scope=None):
@@ -237,74 +238,34 @@ def check_acyclic(diagram, p, via, k, scope=None):
     return True
 
 
-def check_successive_heads(diagram, y, hd, tl, k, scope=None):
-    """Heads at consecutive list positions never alias (positions 0..k)."""
-    masks = RootMasks(diagram)
-    ypath = resolve_path(y, scope)
-    for i in range(k):
-        a = _spine(ypath, tl, i) + (hd,)
-        b = _spine(ypath, tl, i + 1) + (hd,)
-        if masks.alias(a, b):
-            return False
-    return True
-
-
-def check_tails_disjoint(diagram, x, y, tl, k, scope=None):
-    """No proper tail of x aliases a proper tail of y (1..k each)."""
-    masks = RootMasks(diagram)
-    xpath, ypath = resolve_path(x, scope), resolve_path(y, scope)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if masks.alias(_spine(xpath, tl, i), _spine(ypath, tl, j)):
-                return False
-    return True
-
-
-def check_pairwise_heads(diagram, x, y, hd, tl, k, scope=None):
-    """Heads of x and y may meet only at equal positions (0..k)."""
-    masks = RootMasks(diagram)
-    xpath, ypath = resolve_path(x, scope), resolve_path(y, scope)
-    for i in range(k + 1):
-        for j in range(k + 1):
-            if i == j:
-                continue
-            a = _spine(xpath, tl, i) + (hd,)
-            b = _spine(ypath, tl, j) + (hd,)
-            if masks.alias(a, b):
-                return False
-    return True
-
-
-def check_fully_unaliased(diagram, y, hd, tl, k, scope=None):
-    """Heads and proper tails of y are pairwise unaliased (distinct
-    expressions only)."""
-    masks = RootMasks(diagram)
-    ypath = resolve_path(y, scope)
-    family = [_spine(ypath, tl, j) for j in range(1, k + 1)]
-    family += [_spine(ypath, tl, i) + (hd,) for i in range(k + 1)]
-    for i, a in enumerate(family):
-        for b in family[i + 1 :]:
-            if masks.alias(a, b):
-                return False
-    return True
+def _unaliased(masks, pairs):
+    """True when no pair of paths in the family may alias."""
+    return not any(_meet(masks.of(p), masks.of(q)) for p, q in pairs)
 
 
 def deutsch_report(engine, k=3):
     """The five list-copy properties over the L2/L3 snapshots.
 
     Expects the copy benchmark's naming: lists X and Y, fields hd/tl,
-    points L2 (after the copy) and L3 (after X is re-created).
+    points L2 (after the copy) and L3 (after X is re-created).  A list's
+    spine is its positions 0..k (``Y``, ``Y.tl``, ...), and its heads
+    are their ``hd`` fields.  P1 is structural; P2-P5 each say that no
+    pair of one family of paths aliases.
     """
     d2, s2 = _state_at(engine, "L2")
     d3, s3 = _state_at(engine, "L3")
     hd, tl = Label("hd"), Label("tl")
-    xheads = [_spine(resolve_path("X", s2), tl, i) + (hd,) for i in range(k + 1)]
-    yheads = [_spine(resolve_path("Y", s2), tl, j) + (hd,) for j in range(k + 1)]
-    masks = RootMasks(d2)
+
+    def spine(name, scope):
+        return [resolve_path(name, scope) + (tl,) * i for i in range(k + 1)]
+
+    xspine, yspine, yspine3 = spine("X", s2), spine("Y", s2), spine("Y", s3)
+    xheads, yheads = [p + (hd,) for p in xspine], [p + (hd,) for p in yspine]
+    m2, m3 = RootMasks(d2), RootMasks(d3)
     xs, ys = {}, {}
     for heads, acc in ((xheads, xs), (yheads, ys)):
         for p in heads:
-            for n, mask in masks.of(p).items():
+            for n, mask in m2.of(p).items():
                 acc[n] = acc.get(n, 0) | mask
     # the roots under which some X head meets some Y head
     sharing = 0
@@ -313,11 +274,11 @@ def deutsch_report(engine, k=3):
     return {
         "k": k,
         "P1": check_acyclic(d2, "X", tl, k, s2) and check_acyclic(d2, "Y", tl, k, s2),
-        "P2": check_successive_heads(d2, "Y", hd, tl, k, s2),
-        "P3": check_tails_disjoint(d2, "X", "Y", tl, k, s2),
-        "P4": check_pairwise_heads(d2, "X", "Y", hd, tl, k, s2),
-        "P5": check_fully_unaliased(d3, "Y", hd, tl, k, s3),
-        "no_share_root": sharing != masks.all_bits,
+        "P2": _unaliased(m2, zip(yheads, yheads[1:])),
+        "P3": _unaliased(m2, product(xspine[1:], yspine[1:])),
+        "P4": _unaliased(m2, ((a, b) for i, a in enumerate(xheads) for j, b in enumerate(yheads) if i != j)),
+        "P5": _unaliased(m3, combinations(yspine3[1:] + [p + (hd,) for p in yspine3], 2)),
+        "no_share_root": sharing != m2.all_bits,
     }
 
 

@@ -119,8 +119,32 @@ end
 
 
 def test_bad_cap_rejected(tmp_path, capsys):
-    rc = main(["analyze", write(tmp_path, "ok.oo", CLEAN_SRC), "--cap", "0"])
+    path = write(tmp_path, "ok.oo", CLEAN_SRC)
+    assert main(["analyze", path, "--cap", "0"]) == 2
+    assert "the creation cap must be at least 1, got 0" in capsys.readouterr().err
+    assert main(["analyze", path, "--max-iters", "0"]) == 2
+    assert "the iteration ceiling must be at least 1, got 0" in capsys.readouterr().err
+    assert main(["corpus", str(tmp_path), "--max-iters", "0"]) == 2
+    assert "the iteration ceiling must be at least 1, got 0" in capsys.readouterr().err
+
+
+def deep_calls(n):
+    """A chain of n + 1 routines, each calling the next."""
+    return "".join("r%d do r%d end\n" % (i, i + 1) for i in range(n)) + "r%d do skip end\nmain do r0 end\n" % n
+
+
+def deep_choices(n):
+    """n choices, each nested in the first branch of the one before."""
+    return "main do " + "then " * n + "skip" + " else skip end" * n + " end\n"
+
+
+@pytest.mark.parametrize("src", [deep_calls(1000), deep_choices(1000)], ids=["calls", "choices"])
+def test_deep_nesting_is_unusable_input(tmp_path, capsys, src):
+    rc = main(["analyze", write(tmp_path, "deep.oo", src)])
+    err = capsys.readouterr().err
     assert rc == 2
+    assert "deep.oo: the program nests too deeply to analyze" in err
+    assert "Traceback" not in err
 
 
 def test_json_output_is_deterministic(tmp_path, capsys):
@@ -325,6 +349,17 @@ class TestCorpus:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL bad.oo (did not analyze)" in out
+
+    def test_deep_program_fails_and_the_run_goes_on(self, tmp_path, capsys, monkeypatch):
+        write(tmp_path, "a_deep.oo", deep_calls(1000))
+        (tmp_path / "a_deep.expected.json").write_text('{"final": {"pairs": []}}')
+        _freeze_expectation(tmp_path, "b_clean.oo", CLEAN_SRC, monkeypatch)
+        capsys.readouterr()
+        rc = main(["corpus", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.index("FAIL a_deep.oo (did not analyze)") < out.index("PASS b_clean.oo")
+        assert "1 passed, 1 failed, 0 skipped" in out
 
     def test_empty_dir_passes(self, tmp_path, capsys):
         rc = main(["corpus", str(tmp_path)])

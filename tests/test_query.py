@@ -1,4 +1,10 @@
-"""Query answers, list-shape checkers, and report rendering."""
+"""Query answers, the list-copy properties, and report rendering.
+
+Root-mask answers are checked against references that walk one root at
+a time (``oracles``), and the depth-bound candidates against a path
+enumeration of their own.  The list-copy properties are checked through
+``deutsch_report`` on hand diagrams and on generated worlds.
+"""
 
 import json
 import os
@@ -20,10 +26,6 @@ from aliasgraph.query import (
     alias_pairs,
     build_report,
     check_acyclic,
-    check_fully_unaliased,
-    check_pairwise_heads,
-    check_successive_heads,
-    check_tails_disjoint,
     deutsch_report,
     emit_dot,
     emit_json,
@@ -164,15 +166,15 @@ def test_depth_bound_is_checked_without_assertions():
 
 
 # ---------------------------------------------------------------------------
-# bounded checkers; hand diagrams use plain labels
+# list-copy properties; hand diagrams use plain labels
 # ---------------------------------------------------------------------------
 
 HD, TL = Label("hd"), Label("tl")
 
 
-def chainy(n_spine, loop_back_to=None, shared_heads=False):
-    """root --x--> spine of tl edges, one hd per spine node."""
-    edges = [("x", 0, 1)]
+def chainy(n_spine, loop_back_to=None, shared_heads=False, name="x"):
+    """root --name--> spine of tl edges, one hd per spine node."""
+    edges = [(name, 0, 1)]
     for i in range(1, n_spine):
         edges.append(("tl", i, i + 1))
     if loop_back_to is not None:
@@ -180,6 +182,11 @@ def chainy(n_spine, loop_back_to=None, shared_heads=False):
     for i in range(1, n_spine + 1):
         edges.append(("hd", i, 100 + (0 if shared_heads else i)))
     return build([0], edges)
+
+
+def deutsch_on(g, k=3):
+    """``deutsch_report`` with ``g`` as both the L2 and the L3 state."""
+    return deutsch_report(fake_engine(g, []), k)
 
 
 def test_acyclic_holds_on_a_plain_chain():
@@ -214,68 +221,67 @@ def test_acyclic_is_monotone_in_k():
 def test_pairwise_heads_on_separate_lists():
     d = build(
         [0],
-        [("x", 0, 1), ("tl", 1, 2), ("hd", 1, 11), ("hd", 2, 12),
-         ("y", 0, 5), ("tl", 5, 6), ("hd", 5, 11), ("hd", 6, 12)],
+        [("X", 0, 1), ("tl", 1, 2), ("hd", 1, 11), ("hd", 2, 12),
+         ("Y", 0, 5), ("tl", 5, 6), ("hd", 5, 11), ("hd", 6, 12)],
     )
     # heads meet exactly at equal positions: allowed
-    assert check_pairwise_heads(d, "x", "y", HD, TL, 3)
+    assert deutsch_on(d)["P4"]
 
 
 def test_pairwise_heads_rejects_shifted_sharing():
-    d = chainy(3)
-    d.add_edge(Label("y"), 0, 2)  # y = x.tl
-    assert not check_pairwise_heads(d, "x", "y", HD, TL, 3)
+    d = chainy(3, name="X")
+    d.add_edge(Label("Y"), 0, 2)  # Y = X.tl
+    assert not deutsch_on(d)["P4"]
 
 
 def test_pairwise_heads_vacuous_when_unbound():
-    d = chainy(2)
-    assert check_pairwise_heads(d, "x", "never_assigned", HD, TL, 3)
+    assert deutsch_on(chainy(2, name="X"))["P4"]
 
 
 def test_successive_heads_on_a_plain_chain():
-    assert check_successive_heads(chainy(3), "x", HD, TL, 3)
+    assert deutsch_on(chainy(3, name="Y"))["P2"]
 
 
 def test_successive_heads_rejects_repeated_head():
-    assert not check_successive_heads(chainy(3, shared_heads=True), "x", HD, TL, 3)
+    assert not deutsch_on(chainy(3, shared_heads=True, name="Y"))["P2"]
 
 
 def test_successive_heads_vacuous_when_unbound():
-    assert check_successive_heads(chainy(2), "nothing", HD, TL, 3)
+    assert deutsch_on(chainy(2, name="X"))["P2"]
 
 
 def test_tails_disjoint_on_separate_lists():
-    d = build([0], [("x", 0, 1), ("tl", 1, 2), ("y", 0, 5), ("tl", 5, 6)])
-    assert check_tails_disjoint(d, "x", "y", TL, 3)
+    d = build([0], [("X", 0, 1), ("tl", 1, 2), ("Y", 0, 5), ("tl", 5, 6)])
+    assert deutsch_on(d)["P3"]
 
 
 def test_tails_disjoint_rejects_a_merge():
-    d = build([0], [("x", 0, 1), ("tl", 1, 3), ("y", 0, 2), ("tl", 2, 3)])
-    assert not check_tails_disjoint(d, "x", "y", TL, 3)
+    d = build([0], [("X", 0, 1), ("tl", 1, 3), ("Y", 0, 2), ("tl", 2, 3)])
+    assert not deutsch_on(d)["P3"]
 
 
 def test_tails_disjoint_vacuous_when_unbound():
-    d = build([0], [("x", 0, 1), ("tl", 1, 2)])
-    assert check_tails_disjoint(d, "x", "nothing", TL, 3)
+    d = build([0], [("X", 0, 1), ("tl", 1, 2)])
+    assert deutsch_on(d)["P3"]
 
 
 def test_fully_unaliased_on_a_plain_chain():
-    assert check_fully_unaliased(chainy(3), "x", HD, TL, 3)
+    assert deutsch_on(chainy(3, name="Y"))["P5"]
 
 
 def test_fully_unaliased_rejects_head_into_spine():
-    d = build([0], [("y", 0, 1), ("tl", 1, 2), ("hd", 1, 2)])
-    assert not check_fully_unaliased(d, "y", HD, TL, 3)
+    d = build([0], [("Y", 0, 1), ("tl", 1, 2), ("hd", 1, 2)])
+    assert not deutsch_on(d)["P5"]
 
 
 def test_fully_unaliased_vacuous_when_unbound():
-    assert check_fully_unaliased(chainy(2), "nothing", HD, TL, 3)
+    assert deutsch_on(chainy(2, name="X"))["P5"]
 
 
 def test_checkers_monotone_in_k_on_shifted_lists():
-    d = chainy(4)
-    d.add_edge(Label("y"), 0, 2)
-    verdicts = [check_pairwise_heads(d, "x", "y", HD, TL, k) for k in range(5)]
+    d = chainy(4, name="X")
+    d.add_edge(Label("Y"), 0, 2)
+    verdicts = [deutsch_on(d, k)["P4"] for k in range(5)]
     seen_false = False
     for v in verdicts:
         if not v:
@@ -299,10 +305,14 @@ def test_copy_benchmark_properties_all_hold(copied_list):
 # ---------------------------------------------------------------------------
 
 # X, Y and n are top-level locals of the scope, and n is also a field, so
-# a path starting with n must start at a root; T is a tagged local.
+# a path starting with n must start at a root; T is a tagged local.  The
+# second scope also binds a qualified call's ``Current``, so a head it
+# lacks, such as hd, is a field of what ``Current`` reaches.
 MASK_SCOPE = {"X": Label("X"), "Y": Label("Y"), "n": Label("n"), "T": Label("T", 1)}
-MASK_LABELS = list(MASK_SCOPE.values()) + [HD, TL]
-HEADS = ["X", "Y", "n", "T"]
+CURRENT = Label("Current", 2)
+SCOPES = [MASK_SCOPE, dict(MASK_SCOPE, Current=CURRENT)]
+MASK_LABELS = list(MASK_SCOPE.values()) + [HD, TL, CURRENT]
+HEADS = ["X", "Y", "n", "T", "hd"]
 FIELDS = ["n", "hd", "tl", "X"]
 
 
@@ -331,7 +341,7 @@ name_paths = st.tuples(st.sampled_from(HEADS), st.lists(st.sampled_from(FIELDS),
 ) | st.just(())
 
 
-def fake_engine(g, paths):
+def fake_engine(g, paths, scope=MASK_SCOPE):
     """What the query functions read of an engine, with the diagram as
     the exit state and as the L2 and L3 snapshots."""
     universe = ExprUniverse()
@@ -339,30 +349,47 @@ def fake_engine(g, paths):
         universe.add(p)
     return SimpleNamespace(
         diagram=g,
-        report_scope=lambda: MASK_SCOPE,
+        report_scope=lambda: scope,
         universe=universe,
-        snapshots={"L2": (g, MASK_SCOPE), "L3": (g, MASK_SCOPE)},
+        snapshots={"L2": (g, scope), "L3": (g, scope)},
         snapshot_order=["L2", "L3"],
     )
 
 
+def diagram_paths_reference(g, scope, depth):
+    """The name paths up to ``depth`` long that have a value, found apart
+    from the trie walk in ``query``: heads are the scope's names and the
+    diagram's field names, and a path grows only while ``label_path``
+    gives it a value."""
+    fields = {lbl.name for lbl, _, _ in g.edges() if not lbl.tag}
+    found, grow = set(), [(name,) for name in (set(scope) - {"Current"}) | fields]
+    while grow:
+        p = grow.pop()
+        if g.value_set(label_path(p, scope)):
+            found.add(p)
+            if len(p) < depth:
+                grow += [p + (f,) for f in fields]
+    return found
+
+
 def query_alias_reference(engine, query):
+    scope = engine.report_scope()
     candidates = set(engine.universe)
     if query.depth is not None:
-        candidates |= query_module._diagram_paths(engine.diagram, MASK_SCOPE, query.depth)
-    qpath = resolve_path(query.path, MASK_SCOPE)
+        candidates |= diagram_paths_reference(engine.diagram, scope, query.depth)
+    qpath = resolve_path(query.path, scope)
     qtext = format_name_path(parse_name_path(query.path))
     return {
         format_name_path(np)
         for np in candidates
-        if format_name_path(np) != qtext and may_alias(engine.diagram, qpath, label_path(np, MASK_SCOPE))
+        if format_name_path(np) != qtext and may_alias(engine.diagram, qpath, label_path(np, scope))
     }
 
 
-def checks_reference(g, x, y, k):
-    """The four checkers and the no-share root, one root and one pair at
-    a time."""
-    xp, yp = resolve_path(x, MASK_SCOPE), resolve_path(y, MASK_SCOPE)
+def deutsch_reference(g, scope, k):
+    """P2-P5 and the no-share root of ``deutsch_report`` with ``g`` as
+    both states, one root and one pair at a time."""
+    X, Y = resolve_path("X", scope), resolve_path("Y", scope)
 
     def tail(base, i):
         return base + (TL,) * i
@@ -373,8 +400,7 @@ def checks_reference(g, x, y, k):
     def alias(a, b):
         return may_alias(g, a, b)
 
-    family = [tail(yp, j) for j in range(1, k + 1)] + [head(yp, i) for i in range(k + 1)]
-    X, Y = resolve_path("X", MASK_SCOPE), resolve_path("Y", MASK_SCOPE)
+    family = [tail(Y, j) for j in range(1, k + 1)] + [head(Y, i) for i in range(k + 1)]
     no_share = False
     for r in sorted(g.roots):
         xs = set().union(*(g.value_set(head(X, i), start=(r,)) for i in range(k + 1)))
@@ -383,44 +409,39 @@ def checks_reference(g, x, y, k):
             no_share = True
             break
     return {
-        "successive": not any(alias(head(yp, i), head(yp, i + 1)) for i in range(k)),
-        "tails": not any(alias(tail(xp, i), tail(yp, j)) for i in range(1, k + 1) for j in range(1, k + 1)),
-        "pairwise": not any(alias(head(xp, i), head(yp, j)) for i in range(k + 1) for j in range(k + 1) if i != j),
-        "unaliased": not any(alias(a, b) for i, a in enumerate(family) for b in family[i + 1 :]),
+        "P2": not any(alias(head(Y, i), head(Y, i + 1)) for i in range(k)),
+        "P3": not any(alias(tail(X, i), tail(Y, j)) for i in range(1, k + 1) for j in range(1, k + 1)),
+        "P4": not any(alias(head(X, i), head(Y, j)) for i in range(k + 1) for j in range(k + 1) if i != j),
+        "P5": not any(alias(a, b) for i, a in enumerate(family) for b in family[i + 1 :]),
         "no_share_root": no_share,
     }
 
 
 @given(
     worlds(),
+    st.sampled_from(SCOPES),
     st.lists(name_paths, max_size=12),
     st.lists(st.booleans(), min_size=12, max_size=12),
     name_paths,
     st.integers(0, 2),
-    st.sampled_from(HEADS + ["Current"]),
-    st.sampled_from(HEADS + ["Current"]),
     st.integers(0, 3),
 )
 @settings(max_examples=100, deadline=None)
-def test_root_masks_agree_with_the_per_root_reference(g, paths, as_text, qpath, extra, x, y, k):
+def test_root_masks_agree_with_the_per_root_reference(g, scope, paths, as_text, qpath, extra, k):
     # duplicates, the empty path and both input forms; the list need not
     # be prefix-closed
     mixed = [format_name_path(p) if text else p for p, text in zip(paths, as_text)]
     mixed += [mixed[0]] if mixed else []
     mixed += ["Current", ()]
-    assert alias_pairs(g, MASK_SCOPE, mixed) == alias_pairs_reference(g, MASK_SCOPE, mixed)
+    assert alias_pairs(g, scope, mixed) == alias_pairs_reference(g, scope, mixed)
 
-    engine = fake_engine(g, paths)
+    engine = fake_engine(g, paths, scope)
     for depth in (None, len(qpath) + extra):
         q = AliasQuery(format_name_path(qpath), depth=depth)
         assert query_alias(engine, q) == query_alias_reference(engine, q)
 
-    want = checks_reference(g, x, y, k)
-    assert check_successive_heads(g, y, HD, TL, k, MASK_SCOPE) == want["successive"]
-    assert check_tails_disjoint(g, x, y, TL, k, MASK_SCOPE) == want["tails"]
-    assert check_pairwise_heads(g, x, y, HD, TL, k, MASK_SCOPE) == want["pairwise"]
-    assert check_fully_unaliased(g, y, HD, TL, k, MASK_SCOPE) == want["unaliased"]
-    assert deutsch_report(engine, k)["no_share_root"] == want["no_share_root"]
+    got = deutsch_report(engine, k)
+    assert {key: got[key] for key in ("P2", "P3", "P4", "P5", "no_share_root")} == deutsch_reference(g, scope, k)
 
 
 @pytest.mark.parametrize("nroots,second", [(2, 1), (70, 64)])
@@ -472,7 +493,7 @@ def test_no_share_root_needs_one_root_without_sharing():
     assert deutsch_report(engine, 1)["no_share_root"] is True
     g.add_edge(HD, y2, h2)
     assert deutsch_report(engine, 1)["no_share_root"] is False
-    assert checks_reference(g, "X", "Y", 1)["no_share_root"] is False
+    assert deutsch_reference(g, MASK_SCOPE, 1)["no_share_root"] is False
 
 
 # ---------------------------------------------------------------------------
