@@ -40,12 +40,15 @@ them instead of minting more.  Nested loops and recursions share the
 outermost fixpoint's scope, which holds both.
 
 Recursive calls descend while their context is new.  A context is the
-routine plus its receivers (unqualified: the roots and the caller's
-``Current``) plus the actuals' value sets; when an identical context is
-already on the stack (or the per-routine unroll allowance runs out), the
-engine binds the receivers and actuals into that frame, returns its
-accumulated result values, and marks it dirty: when the dirty frame's
-own body finishes, it is re-analyzed to a fixpoint.
+routine plus its receivers plus the actuals' value sets.  An unqualified
+call's receivers are its caller's: the caller's ``Current`` label, or
+the root objects while that is unbound.  Which worlds exist is not part
+of the context, so a call made after a join still finds its own frame.
+When an identical context is already on the stack (or the per-routine
+unroll allowance runs out), the engine binds the receivers and actuals
+into that frame, returns its accumulated result values, and marks it
+dirty: when the dirty frame's own body finishes, it is re-analyzed to a
+fixpoint.
 """
 
 from __future__ import annotations
@@ -692,7 +695,7 @@ class Engine:
         actuals_key = tuple(None if m is None else frozenset().union(*m.values()) for m in actuals)
         current = frame.current
         if receivers is None:
-            context_key = (id(version), frozenset(self.diagram.roots), current, actuals_key)
+            context_key = (id(version), current, actuals_key)
         else:
             context_key = (id(version), frozenset().union(*receivers.values()), actuals_key)
         bindings = [receivers] + actuals

@@ -1,6 +1,7 @@
 """Independent answer generators for the acceptance suite.
 
-A seeded random program generator, a concrete interpreter that forks at
+Seeded random program generators (one loop-free and call-free, one
+with calls and recursion), a concrete interpreter that forks at
 every choice and runs a real heap, an explicit union-over-iterations
 evaluator for loops working on raw edge triples, and an engine whose
 choices copy the whole diagram per branch instead of replaying deltas.
@@ -100,6 +101,65 @@ def wide_ring(seed, n, choices=6):
         a, b, c, d = (rng.randrange(n) for _ in range(4))
         block.append(("choice", [("write", a, b)], [("read", c, d)]))
     return n, block
+
+
+def gen_call_program(seed):
+    """A random program with calls, as source text; its entry is ``C.run``.
+
+    Class C has the fields n and m and two or three functions r0, r1, ...,
+    each with the formal ``x``, the locals ``t`` and ``u``, and ``Result``,
+    which each function first sets.  ``run`` first creates its locals a,
+    b and c and links them, and Current, by both fields.  Bodies mix
+    creation, assignment, field reads and writes, unqualified and
+    qualified calls to any function (so direct and mutual recursion are
+    common), and choices and loops nested up to two deep."""
+    rng = random.Random(seed)
+    funcs = ["r%d" % i for i in range(rng.randint(2, 3))]
+    lines = ["class C feature", "  n: C", "  m: C"]
+    for f in funcs:
+        body = ["Result := %s" % rng.choice(["x", "Current", "x.n"])]
+        body += _gen_call_block(rng, ["t", "u", "Result"], ["x"], funcs, rng.randint(1, 4), 0)
+        lines.append("  %s (x: C): C local t: C u: C do %s end" % (f, " ".join(body)))
+    body = ["create a", "create b", "create c", "a.n := b", "b.m := c", "n := a", "m := c"]
+    body += _gen_call_block(rng, ["a", "b", "c"], [], funcs, rng.randint(2, 5), 0)
+    lines.append("  run local a: C b: C c: C do %s end" % " ".join(body))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def _gen_call_block(rng, own, read_only, funcs, size, depth):
+    """``size`` instructions over the routine's assignable names ``own``
+    and its ``read_only`` formals; fields n and m of Current are names
+    too."""
+    targets = own + ["n", "m"]
+    sources = targets + read_only + ["Current"]
+    kinds = ["create", "assign", "read", "write", "call", "call", "qcall"]
+    if depth < 2:
+        kinds += ["choice", "loop"]
+    out = []
+    for _ in range(size):
+        kind = rng.choice(kinds)
+        v, w, field = rng.choice(targets), rng.choice(sources), rng.choice(["n", "m"])
+        if kind == "create":
+            out.append("create %s" % rng.choice(own))
+        elif kind == "assign":
+            out.append("%s := %s" % (v, w))
+        elif kind == "read":
+            out.append("%s := %s.%s" % (v, w, field))
+        elif kind == "write":
+            out.append("%s.%s := %s" % (rng.choice(sources), field, w))
+        elif kind == "call":
+            out.append("%s := %s (%s)" % (v, rng.choice(funcs), w))
+        elif kind == "qcall":
+            out.append("%s := %s.%s (%s)" % (v, rng.choice(sources), rng.choice(funcs), w))
+        else:
+            blocks = [_gen_call_block(rng, own, read_only, funcs, rng.randint(1, 2), depth + 1)
+                      for _ in range(2 if kind == "choice" else 1)]
+            if kind == "choice":
+                out.append("then %s else %s end" % tuple(" ".join(b) for b in blocks))
+            else:
+                out.append("loop %s end" % " ".join(blocks[0]))
+    return out
 
 
 def render(nv, block):

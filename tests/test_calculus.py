@@ -731,11 +731,13 @@ end
 
 
 def test_recursion_fixpoint_ceiling_reports_an_error():
-    e = run(RING_OF_ONE, entry="C.run", max_iters=2)
+    # f0's frame absorbs its own call on ``a.n`` and converges in two
+    # passes, so one pass is too few and two are enough
+    e = run(RING_OF_ONE, entry="C.run", max_iters=1)
     assert [(d.severity, d.message, str(d.pos)) for d in e.diagnostics] == [
-        ("error", "recursion fixpoint for 'f0' exceeded 2 iterations", "3:3"),
+        ("error", "recursion fixpoint for 'f0' exceeded 1 iterations", "3:3"),
     ]
-    assert run(RING_OF_ONE, entry="C.run", max_iters=3).diagnostics == []
+    assert run(RING_OF_ONE, entry="C.run", max_iters=2).diagnostics == []
 
 
 def test_list_copy_recursion_full_shape():
@@ -981,14 +983,21 @@ def test_entry_formals_start_unbound_with_a_warning():
     assert any("unbound" in d.message for d in e.diagnostics)
 
 
-def test_cyclic_inheritance_does_not_hang_an_unresolved_analysis():
-    """``resolve`` refuses an inheritance cycle, but the library call
-    ``analyze_program(parse_program(src), entry)`` skips it; dispatch over
-    the cycle's descendants must still end.  Run in a child process so
-    a hang fails the test instead of stalling the suite."""
+def _run_probe(probe, timeout=20):
+    """Run ``probe`` in a child process, so a hang fails the test
+    instead of stalling the suite; returns its stdout lines."""
     pkg_root = str(Path(aliasgraph.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=timeout, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_cyclic_inheritance_does_not_hang_an_unresolved_analysis():
+    """``resolve`` refuses an inheritance cycle, but the library call
+    ``analyze_program(parse_program(src), entry)`` skips it; dispatch over
+    the cycle's descendants must still end."""
     probe = (
         "from aliasgraph import analyze_program, parse_program\n"
         "from aliasgraph.lang import ClassTable\n"
@@ -998,9 +1007,35 @@ def test_cyclic_inheritance_does_not_hang_an_unresolved_analysis():
         "print(ClassTable(program).descendants('A'), ClassTable(program).descendants('B'))\n"
         "print(len(analyze_program(program, 'main').diagram.roots))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=20, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['B'] ['A']", "1"]
+    assert _run_probe(probe) == ["['B'] ['A']", "1"]
+
+
+# choices inside mutually recursive calls: a context that named the root
+# set would be new after every join, so the calls would descend again
+# after each one and the worlds would multiply without bound
+RECURSIVE_FORKS = """class C feature
+  n: C
+  m: C
+  f (x: C): C local t: C do Result.n := Result.m end
+  g (x: C): C local t: C do x.m := f (t) then Result := g (Result) else create t end Result := x.m end
+  p (x: C) local t: C do
+    t := g (t.n) p (t)
+    then x.m := x.g (t) else t := g (t) t := x t := t.g (t.m) end
+  end
+  run local a: C b: C c: C do create a create b p (c) a := c end
+end
+"""
+
+
+def test_choices_under_recursion_do_not_multiply_worlds_without_bound():
+    probe = (
+        "from aliasgraph import analyze_program, parse_program\n"
+        "e = analyze_program(parse_program(%r), 'C.run')\n"
+        "e.diagram.check_invariants()\n"
+        "print(len(e.diagram.roots))\n" % RECURSIVE_FORKS
+    )
+    (roots,) = _run_probe(probe)
+    assert int(roots) <= 100
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ its pairs were frozen before alias pairs were computed with root masks,
 when its report took about 1.2 s.  A sixth, ladder(seed=1, k=14), has
 16,384 roots; its pairs were frozen before edge writes skipped the
 edges a node already has, when it analyzed in about 1.1 s, so a cost
-that grows faster than the root count shows here.  Each entry of
+that grows faster than the root count shows here.  A seventh,
+ring(seed=0, n=6, cycle=2), took about 4 s and 330 activations while a
+recursive call's context held the root set, so every join re-descended;
+its entry bounds the activation count well below that.  Each entry of
 ``frozen.json`` names its generator call.  Each program's sha256 is frozen with its pairs, so
 a changed copy fails instead of being checked against answers for
 another program.
@@ -37,5 +40,7 @@ def test_scaled_program_keeps_its_frozen_pairs(entry):
     engine = Engine(program, AnalysisConfig(record_points=False))
     engine.analyze(entry["entry"])
     assert not engine.has_errors()
+    if "max_activations" in entry:
+        assert engine._next_act <= entry["max_activations"]
     got = [list(p) for p in build_report(engine).final_pairs]
     assert got == entry["pairs"]
