@@ -401,8 +401,10 @@ class Engine:
         iteration still terminates.
         """
         g = self.diagram
-        ancestors = g.ancestors(owners)
         roots_outside = g.roots - set(class_roots)
+        if not roots_outside:
+            return {}, frozenset()
+        ancestors = g.ancestors(owners)
         reach_others = g.reach_within(roots_outside, ancestors)
         contested = {o for o in owners if o in reach_others}
         if not contested:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from aliasgraph.diagram import ExprUniverse, NamePath
 
@@ -53,26 +53,31 @@ KEYWORDS = {
     "skip", "Void", "Current",
 }
 
+# Other whitespace, never given back, then a newline, a comment, a token or
+# one bad character: the matches cover all but trailing whitespace.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<assign>:=)
-  | (?P<neq>/=)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[().,;:=])
+    [^\S\n]*+
+    (?:
+      (?P<newline>\n)
+    | (?P<comment>--[^\n]*)
+    | (?P<assign>:=)
+    | (?P<neq>/=)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>[().,;:=])
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int
     col: int
 
     def __str__(self):
-        return "%d:%d" % (self.line, self.col)
+        return "%d:%d" % self
 
 
 @dataclass(frozen=True)
@@ -93,33 +98,25 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name" | "punct" | "assign" | "neq" | "eof"
-    text: str
-    pos: Pos
-
-
 def tokenize(text, source="<input>"):
+    """The tokens of text as plain tuples (kind, text, line, col), kind one
+    of "name", "punct", "assign", "neq", and last ("eof", "", line, col).
+    Whitespace and comments make none; each whitespace character is one
+    column, and only "\\n" starts a line."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(Diagnostic("error", "unexpected character %r" % text[i], Pos(line, col), source))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, Pos(line, col)))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        i = m.end()
-    tokens.append(Token("eof", "", Pos(line, col)))
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind != "comment":
+            lexeme = m[kind]
+            col = m.end() - len(lexeme) - line_start + 1
+            if kind == "bad":
+                raise ParseError(Diagnostic("error", "unexpected character %r" % lexeme, Pos(line, col), source))
+            tokens.append((kind, lexeme, line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -252,51 +249,47 @@ class _Parser:
         self.source = source
         self.i = 0
 
-    # -- token plumbing
-
-    @property
-    def tok(self):
-        return self.tokens[self.i]
+    # -- token plumbing.  Only eof has the empty text: no caller asks
+    # at() for it, and advance() follows a check that passed.
 
     def at(self, text):
-        return self.tok.text == text and self.tok.kind in ("name", "punct", "assign", "neq")
+        return self.tokens[self.i][1] == text
 
     def at_name(self):
-        return self.tok.kind == "name" and self.tok.text not in KEYWORDS
+        kind, text, _, _ = self.tokens[self.i]
+        return kind == "name" and text not in KEYWORDS
 
-    def peek(self, k=1):
-        j = min(self.i + k, len(self.tokens) - 1)
-        return self.tokens[j]
+    def pos(self):
+        _, _, line, col = self.tokens[self.i]
+        return Pos(line, col)
 
     def advance(self):
-        t = self.tok
-        if t.kind != "eof":
-            self.i += 1
-        return t
+        self.i += 1
+        return self.tokens[self.i - 1][1]
 
     def expect(self, text, what=None):
-        if not self.at(text):
-            raise self.fail("expected %r%s, found %r" % (text, " (%s)" % what if what else "", self.tok.text or "end of input"))
-        return self.advance()
+        if self.tokens[self.i][1] != text:
+            raise self.fail("expected %r%s, found %r" % (text, " (%s)" % what if what else "", self.tokens[self.i][1] or "end of input"))
+        self.i += 1
 
     def expect_name(self, what="a name"):
         if not self.at_name():
-            raise self.fail("expected %s, found %r" % (what, self.tok.text or "end of input"))
+            raise self.fail("expected %s, found %r" % (what, self.tokens[self.i][1] or "end of input"))
         return self.advance()
 
     def fail(self, message):
-        return ParseError(Diagnostic("error", message, self.tok.pos, self.source))
+        return ParseError(Diagnostic("error", message, self.pos(), self.source))
 
     def skip_semis(self):
-        while self.at(";"):
-            self.advance()
+        while self.tokens[self.i][1] == ";":
+            self.i += 1
 
     # -- grammar: program ::= (class_decl | routine_decl)*
 
     def parse_program(self):
         prog = Program(source=self.source)
         self.skip_semis()
-        while self.tok.kind != "eof":
+        while self.tokens[self.i][0] != "eof":
             if self.at("class"):
                 c = self.parse_class()
                 if c.name in prog.classes:
@@ -308,25 +301,26 @@ class _Parser:
                     raise ParseError(Diagnostic("error", "duplicate routine %r" % r.name, r.pos, self.source))
                 prog.routines[r.name] = r
             else:
-                raise self.fail("expected a class or routine declaration, found %r" % self.tok.text)
+                raise self.fail("expected a class or routine declaration, found %r" % self.tokens[self.i][1])
             self.skip_semis()
         return prog
 
     # -- class_decl ::= "class" NAME [inherit ...] "feature" members "end"
 
     def parse_class(self):
-        pos = self.expect("class").pos
-        name = self.expect_name("a class name").text
+        pos = self.pos()
+        self.expect("class")
+        name = self.expect_name("a class name")
         decl = ClassDecl(name=name, pos=pos)
         if self.at("inherit"):
             self.advance()
-            decl.parent = self.expect_name("a parent class name").text
+            decl.parent = self.expect_name("a parent class name")
             if self.at("redefine"):
                 self.advance()
-                decl.redefines.append(self.expect_name("a routine name").text)
+                decl.redefines.append(self.expect_name("a routine name"))
                 while self.at(","):
                     self.advance()
-                    decl.redefines.append(self.expect_name("a routine name").text)
+                    decl.redefines.append(self.expect_name("a routine name"))
                 self.expect("end", "closing the redefine clause")
         self.expect("feature", "starting the class body")
         self.skip_semis()
@@ -343,10 +337,10 @@ class _Parser:
 
     def parse_member(self, decl):
         start = self.i
-        names = [self.expect_name("an attribute or routine name").text]
+        names = [self.expect_name("an attribute or routine name")]
         while self.at(","):
             self.advance()
-            names.append(self.expect_name("an attribute name").text)
+            names.append(self.expect_name("an attribute name"))
         if len(names) == 1:
             if self.at("(") or self.at("do") or self.at("local"):
                 self.i = start
@@ -365,7 +359,7 @@ class _Parser:
                     return
                 self.i = save
         self.expect(":", "after attribute name(s)")
-        type_name = self.expect_name("a type name").text
+        type_name = self.expect_name("a type name")
         for n in names:
             if n in decl.attrs or n in decl.routines:
                 raise self.fail("duplicate declaration of %r in class %r" % (n, decl.name))
@@ -379,17 +373,17 @@ class _Parser:
     # -- routine ::= NAME ["(" params ")"] [":" TYPE] ["local" decls] "do" body "end"
 
     def parse_routine(self, owner):
-        name_tok = self.expect_name("a routine name")
-        r = RoutineDecl(name=name_tok.text, owner=owner, pos=name_tok.pos)
+        pos = self.pos()
+        r = RoutineDecl(name=self.expect_name("a routine name"), owner=owner, pos=pos)
         if self.at("("):
             self.advance()
             while not self.at(")"):
-                names = [self.expect_name("a formal name").text]
+                names = [self.expect_name("a formal name")]
                 while self.at(","):
                     self.advance()
-                    names.append(self.expect_name("a formal name").text)
+                    names.append(self.expect_name("a formal name"))
                 self.expect(":", "after formal name(s)")
-                type_name = self.expect_name("a type name").text
+                type_name = self.expect_name("a type name")
                 for n in names:
                     r.formals.append((n, type_name))
                 if self.at(";"):
@@ -397,16 +391,16 @@ class _Parser:
             self.expect(")")
         if self.at(":"):
             self.advance()
-            r.result_type = self.expect_name("a result type").text
+            r.result_type = self.expect_name("a result type")
         if self.at("local"):
             self.advance()
             while self.at_name():
-                names = [self.advance().text]
+                names = [self.advance()]
                 while self.at(","):
                     self.advance()
-                    names.append(self.expect_name("a local name").text)
+                    names.append(self.expect_name("a local name"))
                 self.expect(":", "after local name(s)")
-                type_name = self.expect_name("a type name").text
+                type_name = self.expect_name("a type name")
                 for n in names:
                     if n in r.locals:
                         raise self.fail("duplicate local %r" % n)
@@ -420,9 +414,9 @@ class _Parser:
     # -- body ::= instr* ; stops before any of the given closers
 
     def parse_body(self, closers):
-        body = Compound(pos=self.tok.pos)
+        body = Compound(pos=self.pos())
         self.skip_semis()
-        while not (self.tok.kind == "eof" or self.tok.text in closers):
+        while not (self.tokens[self.i][0] == "eof" or self.tokens[self.i][1] in closers):
             body.instrs.append(self.parse_instr())
             self.skip_semis()
         return body
@@ -431,29 +425,31 @@ class _Parser:
         point = None
         # a label is NAME ':' not followed by '=' (which would be ':=',
         # already one token) and not a declaration context
-        if self.at_name() and self.peek().text == ":" and self.peek().kind == "punct":
-            point = self.advance().text
+        if self.at_name() and self.tokens[self.i + 1][1] == ":":
+            point = self.advance()
             self.advance()
         instr = self.parse_core()
         instr.point = point
         return instr
 
     def parse_core(self):
-        pos = self.tok.pos
-        if self.at("skip"):
+        pos = self.pos()
+        text = self.tokens[self.i][1]
+        if text == "skip":
             self.advance()
             return Compound(pos=pos)
-        if self.at("create"):
+        if text == "create":
             self.advance()
-            target = self.expect_name("a variable name").text if self.at_name() else self.expect_result()
-            return Create(target=target, pos=pos)
-        if self.at("if"):
-            return self.parse_if()
-        if self.at("then"):
-            return self.parse_choice()
-        if self.at("loop"):
-            return self.parse_loop()
-        if self.at_name() or self.at("Current") or self.at("Result"):
+            if not self.at_name():
+                raise self.fail("expected a variable name after 'create'")
+            return Create(target=self.advance(), pos=pos)
+        if text == "if":
+            return self.parse_if(pos)
+        if text == "then":
+            return self.parse_choice(pos)
+        if text == "loop":
+            return self.parse_loop(pos)
+        if text == "Current" or self.at_name():
             path = self.parse_path()
             if self.at(":="):
                 self.advance()
@@ -461,15 +457,8 @@ class _Parser:
             if self.at("("):
                 return CallInstr(call=self.finish_call(path, pos), pos=pos)
             # bare call statement: `f` or `x.f`
-            target = path[:-1] if len(path) > 1 else None
-            return CallInstr(call=CallExpr(target=target, name=path[-1], pos=pos), pos=pos)
-        raise self.fail("expected an instruction, found %r" % (self.tok.text or "end of input"))
-
-    def expect_result(self):
-        if self.tok.text == "Result":
-            self.advance()
-            return "Result"
-        raise self.fail("expected a variable name after 'create'")
+            return CallInstr(call=self.call_expr(path, pos), pos=pos)
+        raise self.fail("expected an instruction, found %r" % (text or "end of input"))
 
     # -- "if" parses straight into a choice of guarded branches.  Each
     # arm keeps its own condition only, and the else (a skip when absent)
@@ -477,8 +466,8 @@ class _Parser:
     # arms' negations from later guards can only add executions, which
     # is safe for a may-analysis.
 
-    def parse_if(self):
-        pos = self.expect("if").pos
+    def parse_if(self, pos):
+        self.advance()
         cond = self.parse_cond()
         self.expect("then")
         branches = [(cond, self.parse_body(("elseif", "else", "end")))]
@@ -497,8 +486,8 @@ class _Parser:
 
     # -- "then" body {"else" body} "end": free (condition-less) choice
 
-    def parse_choice(self):
-        pos = self.expect("then").pos
+    def parse_choice(self, pos):
+        self.advance()
         branches = [(None, self.parse_body(("else", "end")))]
         while self.at("else"):
             self.advance()
@@ -508,8 +497,8 @@ class _Parser:
             raise ParseError(Diagnostic("error", "a choice needs at least two branches", pos, self.source))
         return Choice(branches=branches, pos=pos)
 
-    def parse_loop(self):
-        pos = self.expect("loop").pos
+    def parse_loop(self, pos):
+        self.advance()
         body = self.parse_body(("until", "end"))
         until = None
         if self.at("until"):
@@ -522,15 +511,20 @@ class _Parser:
         if self.at("Void"):
             self.advance()
             return None
-        pos = self.tok.pos
+        pos = self.pos()
         path = self.parse_path()
         if self.at("("):
             return self.finish_call(path, pos)
         return path
 
+    def call_expr(self, path, pos):
+        # `Current` alone names no routine
+        if not path:
+            raise ParseError(Diagnostic("error", "expected a routine name to call, found 'Current'", pos, self.source))
+        return CallExpr(target=path[:-1] or None, name=path[-1], pos=pos)
+
     def finish_call(self, path, pos):
-        target = path[:-1] if len(path) > 1 else None
-        call = CallExpr(target=target, name=path[-1], pos=pos)
+        call = self.call_expr(path, pos)
         self.expect("(")
         while not self.at(")"):
             call.actuals.append(self.parse_operand())
@@ -552,10 +546,10 @@ class _Parser:
         if self.at("Current"):
             self.advance()
         else:
-            segs.append(self.expect_name("a name").text)
+            segs.append(self.expect_name("a name"))
         while self.at("."):
             self.advance()
-            segs.append(self.expect_name("a name after '.'").text)
+            segs.append(self.expect_name("a name after '.'"))
         return tuple(segs)
 
     def parse_cond(self):
@@ -563,10 +557,10 @@ class _Parser:
             self.advance()
             inner = self.parse_cond()
             return replace(inner, negated=not inner.negated)
-        pos = self.tok.pos
+        pos = self.pos()
         left = self.parse_operand()
-        if self.at("=") or self.tok.kind == "neq":
-            negated = self.advance().kind == "neq"
+        if self.at("=") or self.at("/="):
+            negated = self.advance() == "/="
             return Cond(left=left, right=self.parse_operand(), negated=negated, pos=pos)
         raise self.fail("expected '=' or '/=' in a condition")
 

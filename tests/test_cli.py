@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ except ModuleNotFoundError:  # Python 3.10
 
 import aliasgraph
 from aliasgraph.cli import main
+from aliasgraph.lang import parse_program
 
 from util import DEUTSCH_SRC, FLOW_SRC
 
@@ -144,6 +146,28 @@ def test_deep_nesting_is_unusable_input(tmp_path, capsys, src):
     err = capsys.readouterr().err
     assert rc == 2
     assert "deep.oo: the program nests too deeply to analyze" in err
+    assert "Traceback" not in err
+
+
+def test_nesting_well_inside_the_recursion_limit_parses():
+    """240 nested choices parse under the default recursion limit.  The
+    parse runs on a fresh thread, whose stack starts empty, so the test
+    runner's own frames do not count against the program's nesting."""
+    parsed = []
+    worker = threading.Thread(target=lambda: parsed.append(parse_program(deep_choices(240))))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert parsed, "the parse raised; the thread's traceback says why"
+    assert len(parsed[0].routines["main"].body.instrs) == 1
+
+
+@pytest.mark.parametrize("body", ["Current", "Current (Void)", "x := Current (x)"])
+def test_calling_current_itself_is_a_parse_error(tmp_path, capsys, body):
+    rc = main(["analyze", write(tmp_path, "cur.oo", "main local x: C do %s end\nclass C feature end\n" % body)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "cur.oo:1:" in err and "error" in err
     assert "Traceback" not in err
 
 

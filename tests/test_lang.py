@@ -13,6 +13,7 @@ from aliasgraph.lang import (
     build_expr_universe,
     parse_program,
     resolve,
+    tokenize,
     ClassTable,
 )
 
@@ -135,6 +136,66 @@ def test_parse_error_carries_position():
 def test_single_branch_choice_is_an_error():
     with pytest.raises(ParseError):
         parse_program("main do then skip end end")
+
+
+# -- token positions ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "src, tokens",
+    [
+        # a comment on its own, and one that ends the input with no newline
+        (
+            "a -- note\n  b := c -- tail",
+            [("name", "a", 1, 1), ("name", "b", 2, 3), ("assign", ":=", 2, 5), ("name", "c", 2, 8), ("eof", "", 2, 17)],
+        ),
+        ("-- only", [("eof", "", 1, 8)]),
+        ("", [("eof", "", 1, 1)]),
+        # every whitespace character is one column; only \n starts a line
+        (
+            "x\t:= y\r\nz\x0b.\x0cw\xa0(\u2028)\n  p /= Void;\n",
+            [
+                ("name", "x", 1, 1), ("assign", ":=", 1, 3), ("name", "y", 1, 6),
+                ("name", "z", 2, 1), ("punct", ".", 2, 3), ("name", "w", 2, 5),
+                ("punct", "(", 2, 7), ("punct", ")", 2, 9),
+                ("name", "p", 3, 3), ("neq", "/=", 3, 5), ("name", "Void", 3, 8), ("punct", ";", 3, 12),
+                ("eof", "", 4, 1),
+            ],
+        ),
+        (
+            "a\u2028b\n\xa0 c -- x\u2028y\nd",
+            [("name", "a", 1, 1), ("name", "b", 1, 3), ("name", "c", 2, 3), ("name", "d", 3, 1), ("eof", "", 3, 2)],
+        ),
+    ],
+    ids=["comments", "comment-only", "empty", "control-spaces", "unicode-spaces"],
+)
+def test_tokens_carry_kind_text_line_and_column(src, tokens):
+    assert tokenize(src) == tokens
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("x\n  @", "2:3: error: unexpected character '@'"),
+        ("main do x\u2028 @ end", "1:12: error: unexpected character '@'"),
+        ("a\r\n\t#", "2:2: error: unexpected character '#'"),
+    ],
+    ids=["after-newline", "after-u2028", "after-crlf-tab"],
+)
+def test_unexpected_character_error_carries_its_position(src, message):
+    with pytest.raises(ParseError) as err:
+        tokenize(src)
+    assert str(err.value) == "<input>:" + message
+
+
+@pytest.mark.parametrize(
+    "src, where",
+    [("main do Current end", "1:9"), ("main do Current (Void) end", "1:9"), ("main local x: C do x := Current (x) end", "1:25")],
+)
+def test_calling_current_itself_is_a_parse_error(src, where):
+    with pytest.raises(ParseError) as err:
+        parse_program(src)
+    assert str(err.value) == "<input>:%s: error: expected a routine name to call, found 'Current'" % where
 
 
 # -- desugaring ---------------------------------------------------------------
