@@ -53,11 +53,11 @@ KEYWORDS = {
     "skip", "Void", "Current",
 }
 
-# Other whitespace, never given back, then a newline, a comment, a token or
-# one bad character: the matches cover all but trailing whitespace.
+# Other whitespace, then a newline, a comment, a token or one bad non-space:
+# none gives whitespace back, and the matches cover all but trailing space.
 _TOKEN_RE = re.compile(
     r"""
-    [^\S\n]*+
+    [^\S\n]*
     (?:
       (?P<newline>\n)
     | (?P<comment>--[^\n]*)
@@ -65,7 +65,7 @@ _TOKEN_RE = re.compile(
     | (?P<neq>/=)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<punct>[().,;:=])
-    | (?P<bad>.)
+    | (?P<bad>\S)
     )
     """,
     re.VERBOSE,
