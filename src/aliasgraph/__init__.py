@@ -7,7 +7,7 @@ questions and renders reports, ``cli`` wires it all to a command line.
 """
 
 from aliasgraph.calculus import AnalysisConfig, AnalysisError, Engine, analyze_program
-from aliasgraph.diagram import AliasDiagram, ExprUniverse, Label
+from aliasgraph.diagram import AliasDiagram, Label
 from aliasgraph.lang import Diagnostic, ParseError, parse_program, resolve
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "AnalysisError",
     "Diagnostic",
     "Engine",
-    "ExprUniverse",
     "Label",
     "ParseError",
     "analyze_program",

@@ -49,6 +49,11 @@ unroll allowance runs out), the engine binds the receivers and actuals
 into that frame, returns its accumulated result values, and marks it
 dirty: when the dirty frame's own body finishes, it is re-analyzed to a
 fixpoint.
+
+A routine's names are edge labels tagged with its activation's depth on
+the call stack.  Live activations have distinct depths, and a returning
+activation sweeps its labels from the roots, so no two live activations
+share a tag.
 """
 
 from __future__ import annotations
@@ -95,7 +100,8 @@ class AnalysisConfig:
 
 
 class AnalysisError(Exception):
-    """Raised for unusable inputs (unknown entry, unresolved program)."""
+    """Raised when the entry names no routine: an unknown entry routine,
+    an unknown class, or a class without that routine."""
 
 
 @dataclass
@@ -135,7 +141,7 @@ class _Frame:
 
     version: RoutineDecl
     context_key: Optional[tuple]
-    act: int
+    act: int  # the tag of its names: its depth on the call stack
     # the ``Current`` fields resolve through: a qualified call's own,
     # else the caller's; None while the current object is the root
     current: Optional[Label] = None
@@ -171,7 +177,7 @@ class Engine:
         self.call_stack: List[_Frame] = []
         # clone -> its world identity (``_branch_clone``); later fixpoints read it too
         self.lineage: Dict[NodeId, Tuple[NodeId, FrozenSet[Tuple[int, int]]]] = {}
-        self._next_act = 0
+        self._next_act = 0  # activations opened so far
         self.entry_name: Optional[str] = None
         self.entry_frame: Optional[_Frame] = None
 
@@ -214,23 +220,6 @@ class Engine:
             # last target goes), so the test reads the current edges
             if t not in old:
                 self._add(label, source, t)
-
-    # ------------------------------------------------------------------
-    # name resolution at analysis time
-    # ------------------------------------------------------------------
-
-    def _static_type(self, names, frame):
-        routine = frame.version
-        if not names:
-            return routine.owner
-        t = routine.var_types().get(names[0])
-        if t is None and routine.owner is not None:
-            t = self.table.find_attr(routine.owner, names[0])
-        for seg in names[1:]:
-            if t is None or t not in self.program.classes:
-                return None
-            t = self.table.find_attr(t, seg)
-        return t
 
     # ------------------------------------------------------------------
     # conditions (three-valued, over merged value sets)
@@ -653,7 +642,7 @@ class Engine:
             self._relink_target(assign_target, result, frame, pos)
 
     def _qualified_call(self, call, frame, assign_target, pos):
-        static_t = self._static_type(call.target, frame)
+        static_t, _ = self.table.path_type(frame.version, call.target)
         versions = self.table.dispatch_versions(static_t, call.name) if static_t else []
         if not versions:
             self._diag("error", "cannot resolve call %r on %r" % (call.name, ".".join(call.target)), pos)
@@ -713,7 +702,7 @@ class Engine:
             return self._recursive_cutoff(same_routine[-1], current, bindings)
 
         self._next_act += 1
-        act = self._next_act
+        act = len(self.call_stack)
         new_frame = _Frame(
             version=version,
             context_key=context_key,

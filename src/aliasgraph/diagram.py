@@ -46,7 +46,6 @@ Example:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -56,10 +55,12 @@ NodeId = int
 class Label(NamedTuple):
     """An edge label: a program name plus an activation tag.
 
-    ``tag`` distinguishes the routine-local names of one activation from
-    another's (0 for object fields and for names of the entry routine's
-    own scope that were installed with tag 0).  Labels order and hash as
-    the tuple of their fields.
+    ``tag`` is the depth on the call stack of the activation that owns a
+    routine-local name: 0 for object fields and for the entry routine's
+    own names, d for a callee d calls deep.  Two live activations never
+    share a depth, and a closed one's labels are swept, so a tag tells
+    live activations apart.  Labels order and hash as the tuple of their
+    fields.
 
     ``prime`` is always 0: the analysis binds a qualified call's actuals
     per world and installs no back-pointer labels, so nothing here sets
@@ -116,8 +117,9 @@ class AliasDiagram:
         return n
 
     def ensure_node(self, n: NodeId) -> None:
-        """Register an id that may not be a node yet (an edge's ends, a
-        new root), moving the counter past it."""
+        """Register an id that may not be a node yet, moving the counter
+        past it.  A builder that picks its own ids calls this before
+        ``add_edge``, which only links nodes."""
         if n not in self._out:
             self._out[n] = {}
             if n >= self._next_id:
@@ -126,11 +128,9 @@ class AliasDiagram:
     # -- raw edge surgery ----------------------------------------------------
 
     def add_edge(self, label: Label, source: NodeId, target: NodeId) -> bool:
-        """Insert one triple.  Returns True if the diagram changed."""
-        out = self._out.get(source)
-        if out is None:
-            self.ensure_node(source)
-            out = self._out[source]
+        """Insert one triple between two nodes.  Returns True if the
+        diagram changed."""
+        out = self._out[source]
         targets = out.get(label)
         if targets is None:
             out[label] = {target}
@@ -140,9 +140,6 @@ class AliasDiagram:
             targets.add(target)
         ins = self._in.get(target)
         if ins is None:
-            # a target that has an in-edge is a node already, so only
-            # a first in-edge can bring in a new node
-            self.ensure_node(target)
             self._in[target] = {(label, source)}
         else:
             ins.add((label, source))
@@ -272,36 +269,10 @@ def _discard(index, key, item):
 
 
 # ---------------------------------------------------------------------------
-# Expression universes
+# Name paths
 # ---------------------------------------------------------------------------
 
 NamePath = Tuple[str, ...]
-
-
-@dataclass
-class ExprUniverse:
-    """The prefix-closed set of dotted name paths a program mentions.
-
-    Alias questions are asked and answered over this finite universe:
-    reported alias sets are subsets of it.  Paths are tuples of plain
-    names; resolution to labels happens at query time against a scope.
-    """
-
-    paths: Set[NamePath] = field(default_factory=set)
-
-    def add(self, path: Sequence[str]) -> None:
-        path = tuple(path)
-        for i in range(1, len(path) + 1):
-            self.paths.add(path[:i])
-
-    def __contains__(self, path: Sequence[str]) -> bool:
-        return tuple(path) in self.paths
-
-    def __iter__(self) -> Iterator[NamePath]:
-        return iter(sorted(self.paths))
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 def parse_name_path(text: str) -> NamePath:

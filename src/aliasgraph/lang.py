@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from aliasgraph.diagram import ExprUniverse, NamePath
+from aliasgraph.diagram import NamePath
 
 KEYWORDS = {
     "class", "inherit", "redefine", "feature", "end", "do", "local",
@@ -649,6 +649,27 @@ class ClassTable:
             version = self.program.routines.get(rname)
         return version
 
+    def path_type(self, routine, path):
+        """The static type of a name path inside routine, as (type, None),
+        or (None, why) when the path has none: its head names nothing, it
+        follows an opaque type (one no class declares), or a class lacks
+        the next attribute.  A path may end on an opaque type."""
+        if not path:
+            return routine.owner, None
+        t = routine.var_types().get(path[0])
+        if t is None and routine.owner is not None:
+            t = self.find_attr(routine.owner, path[0])
+        if t is None:
+            return None, "unknown name %r" % path[0]
+        for seg in path[1:]:
+            if t not in self.classes:
+                return None, "cannot follow %r: type %r is opaque (no class declaration)" % (seg, t)
+            nxt = self.find_attr(t, seg)
+            if nxt is None:
+                return None, "type %r has no attribute %r" % (t, seg)
+            t = nxt
+        return t, None
+
 
 def _walk_instrs(body):
     for instr in body.instrs:
@@ -684,12 +705,14 @@ class Resolver:
         self.program = program
         self.table = ClassTable(program)
         self.diagnostics = []
+        self._seen = set()
 
     def _report(self, severity, message, pos):
         # once per (severity, message, pos): an if's else guard repeats
         # its last condition, and a path can be checked more than once
         d = Diagnostic(severity, message, pos, self.program.source)
-        if d not in self.diagnostics:
+        if d not in self._seen:
+            self._seen.add(d)
             self.diagnostics.append(d)
 
     def error(self, message, pos=None):
@@ -706,14 +729,10 @@ class Resolver:
 
     def check_inheritance(self):
         for c in self.program.classes.values():
-            seen = {c.name}
-            p = c.parent
-            while p is not None:
-                if p in seen:
-                    self.error("inheritance cycle through class %r" % c.name, c.pos)
-                    break
-                seen.add(p)
-                p = self.program.classes[p].parent if p in self.program.classes else None
+            # the chain ends at a missing parent, or where it would repeat
+            chain = self.table.ancestry(c.name)
+            if self.program.classes[chain[-1]].parent in chain:
+                self.error("inheritance cycle through class %r" % c.name, c.pos)
             if c.parent is not None and c.parent not in self.program.classes:
                 self.error("class %r inherits unknown class %r" % (c.name, c.parent), c.pos)
             for rname in c.redefines:
@@ -745,11 +764,11 @@ class Resolver:
 
     def check_instr(self, instr, routine, types, formals):
         if isinstance(instr, Assign):
-            self.check_target(instr.target, routine, types, formals, instr.pos)
+            self.check_target(instr.target, routine, formals, instr.pos)
             if isinstance(instr.source, CallExpr):
-                self.check_call(instr.source, routine, types)
+                self.check_call(instr.source, routine)
             elif instr.source is not None:
-                self.check_path(instr.source, routine, types, instr.pos)
+                self.check_path(instr.source, routine, instr.pos)
         elif isinstance(instr, Create):
             name = instr.target
             if name in formals:
@@ -759,63 +778,43 @@ class Resolver:
         elif isinstance(instr, Choice):
             for c, _ in instr.branches:
                 if c is not None:
-                    self.check_cond(c, routine, types)
+                    self.check_cond(c, routine)
         elif isinstance(instr, Loop):
             if instr.until is not None:
                 self.warning("loop exit condition is ignored by the analysis", instr.pos)
-                self.check_cond(instr.until, routine, types)
+                self.check_cond(instr.until, routine)
         elif isinstance(instr, CallInstr):
-            self.check_call(instr.call, routine, types)
+            self.check_call(instr.call, routine)
 
-    def check_cond(self, cond, routine, types):
+    def check_cond(self, cond, routine):
         for side in (cond.left, cond.right):
             if side is not None:
-                self.check_path(side, routine, types, cond.pos)
+                self.check_path(side, routine, cond.pos)
 
-    def check_target(self, path, routine, types, formals, pos):
+    def check_target(self, path, routine, formals, pos):
         if len(path) == 0:
             self.error("cannot assign to Current", pos)
             return
         if len(path) == 1 and path[0] in formals:
             self.error("formals are read-only; cannot assign to %r" % path[0], pos)
             return
-        self.check_path(path, routine, types, pos)
+        self.check_path(path, routine, pos)
 
-    def check_path(self, path, routine, types, pos):
-        """Follow the path through declared names and attributes.
-
-        Returns the static type of the path, or None when it cannot be
-        resolved (an error diagnostic is emitted in that case, except for
-        opaque types reached at the final segment).
-        """
-        if len(path) == 0:
-            return routine.owner
-        head = path[0]
-        if head in types:
-            t = types[head]
-        elif routine.owner is not None and self.table.find_attr(routine.owner, head) is not None:
-            t = self.table.find_attr(routine.owner, head)
-        else:
-            self.error("unknown name %r" % head, pos)
-            return None
-        for seg in path[1:]:
-            if t not in self.program.classes:
-                self.error("cannot follow %r: type %r is opaque (no class declaration)" % (seg, t), pos)
-                return None
-            nxt = self.table.find_attr(t, seg)
-            if nxt is None:
-                self.error("type %r has no attribute %r" % (t, seg), pos)
-                return None
-            t = nxt
+    def check_path(self, path, routine, pos):
+        """The static type of the path, or None after reporting why it
+        has none."""
+        t, why = self.table.path_type(routine, path)
+        if why is not None:
+            self.error(why, pos)
         return t
 
-    def check_call(self, call, routine, types):
+    def check_call(self, call, routine):
         if call.target is None:
             version = self.table.find_callee(routine.owner, call.name)
             if version is None:
                 self.error("unknown routine %r" % call.name, call.pos)
         else:
-            t = self.check_path(call.target, routine, types, call.pos)
+            t = self.check_path(call.target, routine, call.pos)
             if t is None:
                 version = None
             elif t not in self.program.classes:
@@ -827,7 +826,7 @@ class Resolver:
                     self.error("type %r has no routine %r" % (t, call.name), call.pos)
         for a in call.actuals:
             if a is not None:
-                self.check_path(a, routine, types, call.pos)
+                self.check_path(a, routine, call.pos)
         if version is not None and len(call.actuals) != len(version.formals):
             self.error(
                 "call to %r passes %d argument(s), expected %d"
@@ -846,46 +845,41 @@ def resolve(program):
 # ---------------------------------------------------------------------------
 
 
+def _operands(instr):
+    """The name paths one instruction names itself, outside its nested
+    bodies: targets, sources, condition operands, call receivers and
+    actuals.  None stands for Void, or for an unqualified call's
+    receiver; a routine name is no path."""
+    parts = []
+    if isinstance(instr, Assign):
+        parts = [instr.target, instr.source]
+    elif isinstance(instr, Create):
+        parts = [(instr.target,)]
+    elif isinstance(instr, CallInstr):
+        parts = [instr.call]
+    elif isinstance(instr, Choice):
+        parts = [c for c, _ in instr.branches]
+    elif isinstance(instr, Loop):
+        parts = [instr.until]
+    for part in parts:
+        if isinstance(part, CallExpr):
+            yield part.target
+            yield from part.actuals
+        elif isinstance(part, Cond):
+            yield part.left
+            yield part.right
+        else:
+            yield part
+
+
 def build_expr_universe(program):
-    """Every dotted path the program text mentions, prefix-closed."""
-    u = ExprUniverse()
-
-    def add(path):
-        if path:
-            u.add(path)
-
-    def add_operand(op):
-        if op is not None:
-            add(op)
-
-    def add_cond(cond):
-        add_operand(cond.left)
-        add_operand(cond.right)
-
-    def add_call(call):
-        if call.target is not None:
-            add(call.target)
-        for a in call.actuals:
-            add_operand(a)
-
-    for routine in _all_routines(program):
-        for instr in _walk_instrs(routine.body):
-            if isinstance(instr, Assign):
-                add(instr.target)
-                if isinstance(instr.source, CallExpr):
-                    add_call(instr.source)
-                else:
-                    add_operand(instr.source)
-            elif isinstance(instr, Create):
-                add((instr.target,))
-            elif isinstance(instr, Choice):
-                for c, _ in instr.branches:
-                    if c is not None:
-                        add_cond(c)
-            elif isinstance(instr, Loop):
-                if instr.until is not None:
-                    add_cond(instr.until)
-            elif isinstance(instr, CallInstr):
-                add_call(instr.call)
-    return u
-
+    """Every dotted path the program text mentions, prefix-closed, as a
+    sorted tuple."""
+    return tuple(sorted({
+        path[:i]
+        for routine in _all_routines(program)
+        for instr in _walk_instrs(routine.body)
+        for path in _operands(instr)
+        if path
+        for i in range(1, len(path) + 1)
+    }))

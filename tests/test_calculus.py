@@ -975,6 +975,23 @@ def test_class_routine_entry_requires_the_dotted_form():
     assert "M.run" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "src, target",
+    [
+        ("main do y.f end", "y"),
+        ("main local x: T do x.f end", "x"),
+        (EMPTY_CLASS + "main local x: C do x.z.f end", "x.z"),
+    ],
+)
+def test_a_call_on_a_path_without_a_class_cannot_resolve(src, target):
+    # the library call skips ``resolve``: an unknown name, an opaque type
+    # and a missing attribute all leave the call nothing to dispatch to
+    e = Engine(parse_program(src))
+    e.analyze("main")
+    assert [d.message for d in e.diagnostics] == ["cannot resolve call 'f' on '%s'" % target]
+    assert e.has_errors()
+
+
 def test_entry_formals_start_unbound_with_a_warning():
     src = EMPTY_CLASS + "f (x: C) do x := x end"
     prog = parse_program(src)

@@ -63,6 +63,13 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def test_every_export_imports():
+    # a name ``__all__`` lists that the package lacks breaks a star import
+    namespace = {}
+    exec("from aliasgraph import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(aliasgraph.__all__)
+
+
 def test_clean_program_exits_zero(tmp_path, capsys):
     rc = main(["analyze", write(tmp_path, "ok.oo", CLEAN_SRC)])
     out = capsys.readouterr().out

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from aliasgraph import diagram
 from aliasgraph.diagram import (
     AliasDiagram,
-    ExprUniverse,
     Label,
     format_name_path,
     parse_name_path,
@@ -140,16 +139,7 @@ def test_empty_valued_path_aliases_nothing():
     assert not any(may_alias(g, (F,), q) for q in [(F,), (A,)])
 
 
-# -- expression universe -------------------------------------------------------
-
-
-def test_universe_is_prefix_closed():
-    u = ExprUniverse()
-    u.add(("a", "b", "c"))
-    assert ("a",) in u
-    assert ("a", "b") in u
-    assert ("a", "b", "c") in u
-    assert len(u) == 3
+# -- name paths ----------------------------------------------------------------
 
 
 def test_name_path_parsing_normalizes_current():
@@ -312,6 +302,9 @@ def test_edge_stores_follow_a_model_of_triples(ops):
     for kind, name, s, t in ops:
         e = (Label(name), s, t)
         if kind == "add":
+            # add_edge links nodes only: explicit ids are registered first
+            g.ensure_node(s)
+            g.ensure_node(t)
             assert g.add_edge(*e) == (e not in model)
             model.add(e)
             nodes |= {s, t}

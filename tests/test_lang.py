@@ -345,6 +345,33 @@ def test_cannot_assign_to_current():
     assert any("Current" in d.message for d in errs)
 
 
+TYPED = "class C feature a: T f local x: C do x := %s end end"
+
+
+@pytest.mark.parametrize(
+    "path, why",
+    [
+        ("y", "unknown name 'y'"),
+        ("x.a.b", "cannot follow 'b': type 'T' is opaque (no class declaration)"),
+        ("x.z", "type 'C' has no attribute 'z'"),
+    ],
+)
+def test_a_path_without_a_type_says_why(path, why):
+    prog = parse_program(TYPED % path)
+    routine = prog.classes["C"].routines["f"]
+    assert ClassTable(prog).path_type(routine, tuple(path.split("."))) == (None, why)
+    assert [d.message for d in diags(TYPED % path)] == [why]
+
+
+def test_path_types_follow_locals_attributes_and_current():
+    prog = parse_program(TYPED % "x")
+    routine, table = prog.classes["C"].routines["f"], ClassTable(prog)
+    assert table.path_type(routine, ()) == ("C", None)
+    assert table.path_type(routine, ("a",)) == ("T", None)
+    # a path may end on an opaque type
+    assert table.path_type(routine, ("x", "a")) == ("T", None)
+
+
 # -- dispatch table ---------------------------------------------------------------
 
 
@@ -380,6 +407,18 @@ def test_inherited_version_resolves_on_heir():
 
 
 # -- expression universe ------------------------------------------------------------
+
+
+def test_universe_is_prefix_closed():
+    u = build_expr_universe(parse_program(
+        "main local x, a: C do x.f (a) x.g.h := Void x := Void end "
+        "class C feature g: C h: C f (o: C) do skip end end"
+    ))
+    # a call's receiver and actuals, not its routine name; Void is no path
+    assert u == (("a",), ("x",), ("x", "g"), ("x", "g", "h"))
+    big = build_expr_universe(parse_program(LIST_COPY))
+    assert list(big) == sorted(set(big))
+    assert all(p[:i] in big for p in big for i in range(1, len(p)))
 
 
 def test_universe_collects_and_prefix_closes():
