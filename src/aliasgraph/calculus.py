@@ -77,11 +77,6 @@ from aliasgraph.lang import (
     build_expr_universe,
 )
 
-# three-valued condition verdicts
-TRUE = "definitely-true"
-FALSE = "definitely-false"
-UNKNOWN = "unknown"
-
 # distinct-context recursion depth per routine
 UNROLL_LIMIT = 4
 
@@ -222,31 +217,31 @@ class Engine:
                 self._add(label, source, t)
 
     # ------------------------------------------------------------------
-    # conditions (three-valued, over merged value sets)
+    # guards, over merged value sets
     # ------------------------------------------------------------------
 
-    def eval_cond(self, cond, frame):
-        verdict = self._eval_eq(cond.left, cond.right, frame)
-        if cond.negated and verdict != UNKNOWN:
-            return FALSE if verdict == TRUE else TRUE
-        return verdict
+    def may_hold(self, cond, frame):
+        """False only when the guard is provably false in every world."""
+        equal = self._equality(cond.left, cond.right, frame)
+        return equal is None or equal != cond.negated
 
-    def _eval_eq(self, left, right, frame):
+    def _equality(self, left, right, frame):
+        """True or False when the two operands are provably the same or
+        provably different objects, None when they may be either."""
         if left == right:
             # same expression, including Void = Void
-            return TRUE
+            return True
         if left is None or right is None:
             path = right if left is None else left
-            vals = self.diagram.value_set(label_path(path, frame.scope))
-            return TRUE if not vals else UNKNOWN
+            return True if not self.diagram.value_set(label_path(path, frame.scope)) else None
         lv = self.diagram.value_set(label_path(left, frame.scope))
         rv = self.diagram.value_set(label_path(right, frame.scope))
         if lv and rv and not (lv & rv):
             # over-approximated value sets that cannot meet prove the
             # objects differ; emptiness on either side proves nothing
-            # definite about equality, so stay Unknown
-            return FALSE
-        return UNKNOWN
+            # definite about equality
+            return False
+        return None
 
     # ------------------------------------------------------------------
     # instruction dispatch
@@ -372,16 +367,18 @@ class Engine:
         Both are empty when no other world sees the owners, so the whole
         update can land in place.
 
-        The copied region is the contested owners' ancestor cone inside
-        the group's own reach: every node on a path from a group root to
-        such an owner.  The cone is closed under in-edges taken within
-        that reach, so moving the roots' and cone-internal edges onto
-        the copies carries the whole region over in one pass; nothing
-        outside the cone can point into it from the group's side, and
-        every other root keeps the originals untouched.
+        The copied region is the forkable owners' cone: every node on a
+        path from a group root to such an owner, which is the group's
+        reach within their ancestors.  Every node the group reaches
+        that feeds a cone node is itself in the cone, so moving the
+        roots' and cone-internal edges onto the copies carries the whole
+        region over in one pass; nothing outside the cone can point into
+        it from the group's side, and every other root keeps the
+        originals untouched.
 
         Every path from a root into an owner runs through the owners'
-        ancestors, so both reaches are walked inside that set only.
+        ancestors, so the other roots' reach is walked inside that set
+        only.
 
         No copies are made while a fixpoint is running: a fresh copy per
         pass would keep the state from ever repeating, so the iteration
@@ -393,38 +390,30 @@ class Engine:
         roots_outside = g.roots - set(class_roots)
         if not roots_outside:
             return {}, frozenset()
-        ancestors = g.ancestors(owners)
-        reach_others = g.reach_within(roots_outside, ancestors)
+        reach_others = g.reach_within(roots_outside, g.ancestors(owners))
         contested = {o for o in owners if o in reach_others}
         if not contested:
             return {}, frozenset()
         forkable = {o for o in contested if o not in g.roots}
         if self.fixpoint is not None or not forkable:
             return {}, frozenset(contested)
-        reach_mine = g.reach_within(class_roots, ancestors)
-        cone = set(forkable)
-        work = list(forkable)
-        while work:
-            for _, s in g.in_edges(work.pop()):
-                if s in reach_mine and s not in cone:
-                    cone.add(s)
-                    work.append(s)
+        cone = g.reach_within(class_roots, g.ancestors(forkable))
         shared = {n for n in cone if n in reach_others and n not in g.roots}
         # sorted: the copies are allocated in this order
         copies = {orig: g.fresh_node() for orig in sorted(shared)}
         for orig, copy in copies.items():
             for l, t in g.out_edges(orig):
                 self._add(l, copy, copies.get(t, t))
-        # entry edges: a source inside the group's reach that feeds a
-        # copied node is, by cone closure, itself in the cone; if it was
-        # not copied it is either a group root or private to the group,
-        # so rerouting it in place is invisible to every other world.
-        # Roots of other worlds are never rerouted even when reachable.
+        # entry edges: a source that feeds a copied node is in the cone
+        # exactly when the group reaches it; if it was not copied it is
+        # either a group root or private to the group, so rerouting it
+        # in place is invisible to every other world.  Roots of other
+        # worlds are never rerouted even when reachable.
         entries = [
             (l, s, t)
             for t in copies
             for l, s in g.in_edges(t)
-            if s in reach_mine and s not in copies and s not in roots_outside
+            if s in cone and s not in copies and s not in roots_outside
         ]
         for (l, s, t) in entries:
             self._remove(l, s, t)
@@ -456,7 +445,7 @@ class Engine:
         self._run_branches(id(instr), [
             (lambda body=body: self.apply_compound(body, frame))
             for cond, body in instr.branches
-            if cond is None or self.eval_cond(cond, frame) != FALSE
+            if cond is None or self.may_hold(cond, frame)
         ])
 
     def _run_branches(self, site, live):

@@ -113,16 +113,16 @@ def _print_answers(args, engine, report, out):
         for name in ("P1", "P2", "P3", "P4", "P5"):
             line = "%s: %s" % (name, "yes" if props[name] else "no")
             print(line, file=out)
-            report.diagnostics.append("deutsch %s (k=%d)" % (line, props["k"]))
+            report["diagnostics"].append("deutsch %s (k=%d)" % (line, props["k"]))
         share = "no-share root component: %s" % ("yes" if props["no_share_root"] else "no")
         print(share, file=out)
-        report.diagnostics.append("deutsch " + share)
+        report["diagnostics"].append("deutsch " + share)
 
-    print("entry: %s" % report.entry, file=out)
-    shown = report.final_pairs
+    print("entry: %s" % report["entry"], file=out)
+    shown = report["final"]["pairs"]
     where = "final"
     if args.at is not None:
-        by_label = dict(report.points)
+        by_label = {point["label"]: point["pairs"] for point in report["points"]}
         if args.at not in by_label:
             print(_paint("unknown program point %r" % args.at, "31"), file=sys.stderr)
             return False
@@ -181,7 +181,7 @@ def run_corpus(args, config) -> int:
             print(_paint("FAIL %s (did not analyze)" % name, "31"))
             failed += 1
             continue
-        got = _pairs_as_sets(build_report(engine).to_dict())
+        got = _pairs_as_sets(build_report(engine))
         want = _pairs_as_sets(want_doc)
         diffs = []
         for label in sorted(set(got) | set(want)):

@@ -277,6 +277,15 @@ class _Parser:
             raise self.fail("expected %s, found %r" % (what, self.tokens[self.i][1] or "end of input"))
         return self.advance()
 
+    def names(self, what, more=None):
+        """NAME {"," NAME}: the first name is ``what``, each later one
+        ``more`` (by default ``what`` too)."""
+        found = [self.expect_name(what)]
+        while self.at(","):
+            self.advance()
+            found.append(self.expect_name(more or what))
+        return found
+
     def fail(self, message):
         return ParseError(Diagnostic("error", message, self.pos(), self.source))
 
@@ -317,10 +326,7 @@ class _Parser:
             decl.parent = self.expect_name("a parent class name")
             if self.at("redefine"):
                 self.advance()
-                decl.redefines.append(self.expect_name("a routine name"))
-                while self.at(","):
-                    self.advance()
-                    decl.redefines.append(self.expect_name("a routine name"))
+                decl.redefines = self.names("a routine name")
                 self.expect("end", "closing the redefine clause")
         self.expect("feature", "starting the class body")
         self.skip_semis()
@@ -337,10 +343,7 @@ class _Parser:
 
     def parse_member(self, decl):
         start = self.i
-        names = [self.expect_name("an attribute or routine name")]
-        while self.at(","):
-            self.advance()
-            names.append(self.expect_name("an attribute name"))
+        names = self.names("an attribute or routine name", "an attribute name")
         if len(names) == 1:
             if self.at("(") or self.at("do") or self.at("local"):
                 self.i = start
@@ -378,10 +381,7 @@ class _Parser:
         if self.at("("):
             self.advance()
             while not self.at(")"):
-                names = [self.expect_name("a formal name")]
-                while self.at(","):
-                    self.advance()
-                    names.append(self.expect_name("a formal name"))
+                names = self.names("a formal name")
                 self.expect(":", "after formal name(s)")
                 type_name = self.expect_name("a type name")
                 for n in names:
@@ -395,10 +395,7 @@ class _Parser:
         if self.at("local"):
             self.advance()
             while self.at_name():
-                names = [self.advance()]
-                while self.at(","):
-                    self.advance()
-                    names.append(self.expect_name("a local name"))
+                names = self.names("a local name")
                 self.expect(":", "after local name(s)")
                 type_name = self.expect_name("a type name")
                 for n in names:
@@ -729,9 +726,8 @@ class Resolver:
 
     def check_inheritance(self):
         for c in self.program.classes.values():
-            # the chain ends at a missing parent, or where it would repeat
-            chain = self.table.ancestry(c.name)
-            if self.program.classes[chain[-1]].parent in chain:
+            # on a cycle exactly when its parent's ancestry leads back to it
+            if c.name in self.table.ancestry(c.parent):
                 self.error("inheritance cycle through class %r" % c.name, c.pos)
             if c.parent is not None and c.parent not in self.program.classes:
                 self.error("class %r inherits unknown class %r" % (c.name, c.parent), c.pos)

@@ -6,7 +6,7 @@ answers for every root at once through root masks (``RootMasks``): the
 alias pairs of a report, the answers to a query (with the diagram paths
 a depth bound adds), and the list-copy properties, which are families of
 path pairs that must not alias.  The answers are rendered as a JSON
-document or a DOT drawing.
+document (``build_report``, written by ``emit_json``) or a DOT drawing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from aliasgraph.diagram import AliasDiagram, Label, NodeId, format_name_path, label_path, parse_name_path
 
@@ -287,46 +287,24 @@ def deutsch_report(engine, k=3):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AnalysisReport:
-    program: str
-    entry: str
-    points: List[Tuple[str, List[Tuple[str, str]]]]
-    final_pairs: List[Tuple[str, str]]
-    diagnostics: List[str]
-
-    def to_dict(self):
-        return {
-            "program": self.program,
-            "entry": self.entry,
-            "points": [
-                {"label": label, "pairs": [list(p) for p in pairs]}
-                for label, pairs in self.points
-            ],
-            "final": {"pairs": [list(p) for p in self.final_pairs]},
-            "diagnostics": list(self.diagnostics),
-        }
-
-
 def build_report(engine):
-    universe = list(engine.universe)
-    points = []
-    for label in engine.snapshot_order:
-        diagram, scope = engine.snapshots[label]
-        points.append((label, alias_pairs(diagram, scope, universe)))
-    final_pairs = alias_pairs(engine.diagram, engine.report_scope(), universe)
-    return AnalysisReport(
-        program=engine.program.source,
-        entry=engine.entry_name or "",
-        points=points,
-        final_pairs=final_pairs,
-        diagnostics=[d.render() for d in engine.diagnostics],
-    )
+    """The report document: the alias pairs among the universe's paths at
+    each recorded point and at the end, and the rendered diagnostics."""
+
+    def pairs(diagram, scope):
+        return [list(p) for p in alias_pairs(diagram, scope, engine.universe)]
+
+    return {
+        "program": engine.program.source,
+        "entry": engine.entry_name or "",
+        "points": [{"label": label, "pairs": pairs(*engine.snapshots[label])} for label in engine.snapshot_order],
+        "final": {"pairs": pairs(engine.diagram, engine.report_scope())},
+        "diagnostics": [d.render() for d in engine.diagnostics],
+    }
 
 
 def emit_json(report) -> bytes:
-    doc = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    return (doc + "\n").encode("utf-8")
+    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def emit_dot(diagram, scope=None) -> bytes:

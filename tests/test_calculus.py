@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aliasgraph
-from aliasgraph.calculus import FALSE, TRUE, UNKNOWN, AnalysisConfig, AnalysisError, Engine, _DeltaFrame
+from aliasgraph.calculus import AnalysisConfig, AnalysisError, Engine, _DeltaFrame
 from aliasgraph.diagram import Label
 from aliasgraph.lang import parse_program
 from aliasgraph.query import AliasQuery, alias_pairs, query_alias
@@ -252,6 +252,14 @@ def test_disjoint_nonempty_values_make_equality_definitely_false():
     e = run(EMPTY_CLASS + "main local x: C y: C z: C do create x create y if x = y then create z end end")
     assert len(e.diagram.roots) == 1
     assert values(e, "z") == frozenset()
+
+
+@pytest.mark.parametrize("op", ["=", "/="])
+def test_sides_that_may_be_one_object_keep_both_arms(op):
+    # y copies x, but equal value sets prove neither equality nor its
+    # negation: the guard may hold either way
+    e = run(EMPTY_CLASS + "main local x: C y: C z: C do create x y := x if x %s y then create z end end" % op)
+    assert len(e.diagram.roots) == 2
 
 
 ELSEIF_SRC = EMPTY_CLASS + (

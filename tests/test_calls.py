@@ -27,7 +27,7 @@ def test_generated_call_programs_keep_their_frozen_pairs():
         text = gen_call_program(entry["seed"])
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha, entry["seed"]
         engine = run(text, entry=FROZEN["entry"], record_points=False)
-        missing = {tuple(p) for p in entry["pairs"]} - set(build_report(engine).final_pairs)
+        missing = {tuple(p) for p in entry["pairs"]} - {tuple(p) for p in build_report(engine)["final"]["pairs"]}
         if missing:
             lost[entry["seed"]] = sorted(missing)
     assert lost == {}

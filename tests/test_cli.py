@@ -13,8 +13,9 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 import aliasgraph
+from aliasgraph.calculus import AnalysisError, analyze_program
 from aliasgraph.cli import main
-from aliasgraph.lang import parse_program
+from aliasgraph.lang import ParseError, parse_program, resolve
 
 from util import DEUTSCH_SRC, FLOW_SRC
 
@@ -176,6 +177,63 @@ def test_calling_current_itself_is_a_parse_error(tmp_path, capsys, body):
     assert rc == 2
     assert "cur.oo:1:" in err and "error" in err
     assert "Traceback" not in err
+
+
+NO_POINTS_SRC = "class C feature run do skip end end"
+
+# (stage, source, entry, what the stage reports).  "parse" parses,
+# "resolve" parses and resolves, "analyze" runs the engine on the parsed
+# program (no resolve), and "cli" runs `analyze --deutsch` on a file.
+DIAGNOSTICS = [
+    ("parse", "class A feature end class A feature end", None, ["<input>:1:21: error: duplicate class 'A'"]),
+    ("parse", "f do skip end f do skip end", None, ["<input>:1:15: error: duplicate routine 'f'"]),
+    ("parse", "main do skip end )", None, ["<input>:1:18: error: expected a class or routine declaration, found ')'"]),
+    ("parse", "class C feature a, a: C end", None, ["<input>:1:25: error: duplicate declaration of 'a' in class 'C'"]),
+    ("parse", "class C feature a: C a do skip end end", None, ["<input>:1:22: error: duplicate declaration of 'a' in class 'C'"]),
+    ("parse", "main local x, x: C do skip end", None, ["<input>:1:20: error: duplicate local 'x'"]),
+    ("parse", "main do create Void end", None, ["<input>:1:16: error: expected a variable name after 'create'"]),
+    ("parse", "main do ) end", None, ["<input>:1:9: error: expected an instruction, found ')'"]),
+    ("parse", "main local x: C do if x then skip end end", None, ["<input>:1:25: error: expected '=' or '/=' in a condition"]),
+    ("parse", "main local x: C do if x = x skip end end", None, ["<input>:1:29: error: expected 'then', found 'skip'"]),
+    ("parse", "main do skip", None, ["<input>:1:13: error: expected 'end' (closing routine 'main'), found 'end of input'"]),
+    # both attributes of one declaration get its type: only 'c' is missing
+    ("resolve", "class C feature a, b: C end main local x: C do x := x.a.b.c end", None,
+     ["<input>:1:48: error: type 'C' has no attribute 'c'"]),
+    ("resolve", "class A feature f do skip end g do skip end end class B inherit A redefine f, g end feature f do skip end end",
+     None, ["<input>:1:49: error: class 'B' lists 'g' under redefine but gives no body"]),
+    ("resolve", "class B inherit Z feature end", None, ["<input>:1:1: error: class 'B' inherits unknown class 'Z'"]),
+    ("resolve", "class C feature end f (v: C) local v: C do skip end", None,
+     ["<input>:1:21: error: local 'v' of 'f' collides with a formal"]),
+    ("resolve", "class C feature end f (v: C) do create v end", None, ["<input>:1:33: error: cannot create into formal 'v'"]),
+    ("resolve", "main do create x end", None, ["<input>:1:9: error: unknown variable 'x' in create"]),
+    ("resolve", "main do g end", None, ["<input>:1:9: error: unknown routine 'g'"]),
+    ("resolve", "main local x: T do x.f end", None, ["<input>:1:20: error: cannot call 'f' on opaque type 'T'"]),
+    ("resolve", "class C feature end main local x: C do x.f end", None, ["<input>:1:40: error: type 'C' has no routine 'f'"]),
+    ("analyze", "main do g end", "main", ["<input>:1:9: error: unknown routine 'g'"]),
+    ("analyze", NO_POINTS_SRC, "Z.run", ["unknown class 'Z' in entry 'Z.run'"]),
+    ("analyze", NO_POINTS_SRC, "C.go", ["class 'C' has no routine 'go'"]),
+    ("cli", NO_POINTS_SRC, "C.run", ["exit 1", "unknown program point 'L2' (recorded: none)"]),
+]
+
+
+@pytest.mark.parametrize("stage, src, entry, want", DIAGNOSTICS)
+def test_every_diagnostic_renders_as_pinned(stage, src, entry, want, tmp_path, capsys, monkeypatch):
+    if stage == "cli":
+        monkeypatch.setenv("ALIASGRAPH_COLOR", "0")
+        rc = main(["analyze", write(tmp_path, "p.oo", src), "--entry", entry, "--deutsch"])
+        assert ["exit %d" % rc] + capsys.readouterr().err.splitlines() == want
+        return
+    try:
+        program = parse_program(src)
+        if stage == "resolve":
+            got = [d.render() for d in resolve(program)]
+        elif stage == "analyze":
+            got = [d.render() for d in analyze_program(program, entry).diagnostics]
+        else:
+            got = ["parsed"]
+    except (ParseError, AnalysisError) as exc:
+        got = [str(exc)]
+    assert got == want
 
 
 def test_json_output_is_deterministic(tmp_path, capsys):

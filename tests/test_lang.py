@@ -311,6 +311,10 @@ def test_attribute_lookup_follows_inheritance():
 def test_inheritance_cycle_is_reported():
     errs = diags("class A inherit B feature end class B inherit A feature end main do skip end")
     assert any("cycle" in d.message for d in errs)
+    # only the classes on a cycle: A inherits into the B-C cycle
+    errs = diags("class A inherit B feature end class B inherit C feature end class C inherit B feature end")
+    assert [d.message for d in errs] == ["inheritance cycle through class 'B'", "inheritance cycle through class 'C'"]
+    assert [d.message for d in diags("class A inherit A feature end")] == ["inheritance cycle through class 'A'"]
 
 
 def test_redefine_without_ancestor_version():

@@ -42,5 +42,5 @@ def test_scaled_program_keeps_its_frozen_pairs(entry):
     assert not engine.has_errors()
     if "max_activations" in entry:
         assert engine._next_act <= entry["max_activations"]
-    got = [list(p) for p in build_report(engine).final_pairs]
+    got = build_report(engine)["final"]["pairs"]
     assert got == entry["pairs"]
