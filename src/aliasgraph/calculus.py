@@ -285,12 +285,13 @@ class Engine:
         if instr.source is None:
             per_root = {r: frozenset() for r in self.diagram.roots}
         else:
-            src = label_path(instr.source, frame.scope)
-            self._check_void_prefix(instr.source, src, instr.pos)
-            per_root = self.diagram.value_sets_by_root(src)
+            per_root = self._read(instr.source, frame, instr.pos)
         self._relink_target(instr.target, per_root, frame, instr.pos)
 
-    def _check_void_prefix(self, names, labels, pos):
+    def _read(self, names, frame, pos):
+        """Each root's values of the name path ``names``, after warning
+        when a strict prefix of it is definitely void."""
+        labels = label_path(names, frame.scope)
         # a strict prefix with an empty value set means the tail
         # dereferences a definitely void reference.  ``labels`` may start
         # with the receiver's ``Current``, which ``names`` leaves implicit
@@ -302,7 +303,8 @@ class Engine:
                     "'%s' is definitely void here; '%s' has no value" % (".".join(names[:i]), ".".join(names)),
                     pos,
                 )
-                return
+                break
+        return self.diagram.value_sets_by_root(labels)
 
     def _relink_target(self, target_names, per_root_vals, frame, pos):
         labels = label_path(target_names, frame.scope)
@@ -619,37 +621,28 @@ class Engine:
 
     def _run_call(self, call, frame, assign_target, pos=None):
         pos = pos or call.pos
-        if call.target is not None:
-            self._qualified_call(call, frame, assign_target, pos)
-            return
-        version = self.table.find_callee(frame.version.owner, call.name)
-        if version is None:
-            self._diag("error", "unknown routine %r" % call.name, pos)
-            return
-        result = self._call_on_targets(version, call, frame, None, pos)
-        if assign_target is not None:
-            self._relink_target(assign_target, result, frame, pos)
+        versions, why = self.table.callees(frame.version, call)
+        if why is not None:
+            self._diag("error", why, pos)
+        elif call.target is None:
+            self._call(versions[0], call, frame, None, assign_target, pos)
+        else:
+            self._qualified_call(versions, call, frame, assign_target, pos)
 
-    def _qualified_call(self, call, frame, assign_target, pos):
-        static_t, _ = self.table.path_type(frame.version, call.target)
-        versions = self.table.dispatch_versions(static_t, call.name) if static_t else []
-        if not versions:
-            self._diag("error", "cannot resolve call %r on %r" % (call.name, ".".join(call.target)), pos)
-            return
-        # dynamic binding: one branch per version the receiver may carry
-        thunks = [
-            (lambda v=v: self._qualified_one(v, call, frame, assign_target, pos))
-            for v in versions
-        ]
-        self._run_branches(id(call), thunks)
-
-    def _qualified_one(self, version, call, frame, assign_target, pos):
-        target_labels = label_path(call.target, frame.scope)
-        self._check_void_prefix(call.target, target_labels, pos)
-        receivers = self.diagram.value_sets_by_root(target_labels)
+    def _qualified_call(self, versions, call, frame, assign_target, pos):
+        # every branch below starts from this state, so the receivers
+        # are read once, before dispatch
+        receivers = self._read(call.target, frame, pos)
         if not any(receivers.values()):
             self._diag("error", "call target '%s' is definitely void" % ".".join(call.target), pos)
             return
+        # dynamic binding: one branch per version the receiver may carry
+        self._run_branches(id(call), [
+            (lambda v=v: self._call(v, call, frame, receivers, assign_target, pos))
+            for v in versions
+        ])
+
+    def _call(self, version, call, frame, receivers, assign_target, pos):
         result = self._call_on_targets(version, call, frame, receivers, pos)
         if assign_target is not None:
             self._relink_target(assign_target, result, frame, pos)
@@ -664,14 +657,8 @@ class Engine:
         # receiver is Void does not run the call: it binds nothing and
         # gets no result
         worlds = [r for r in self.diagram.roots if receivers is None or receivers[r]]
-        actuals = []
-        for a in call.actuals:
-            if a is None:
-                actuals.append(None)
-                continue
-            labels = label_path(a, frame.scope)
-            self._check_void_prefix(a, labels, pos)
-            actuals.append({r: self.diagram.value_set(labels, start=(r,)) for r in worlds})
+        actuals = [None if a is None else self._read(a, frame, pos) for a in call.actuals]
+        actuals = [m if m is None else {r: m[r] for r in worlds} for m in actuals]
         actuals_key = tuple(None if m is None else frozenset().union(*m.values()) for m in actuals)
         current = frame.current
         if receivers is None:
@@ -700,9 +687,7 @@ class Engine:
             bindings=bindings,
         )
         self.call_stack.append(new_frame)
-        self._bind_formals(new_frame)
-        self.apply_compound(version.body, new_frame)
-        self._accumulate_result(new_frame)
+        self._frame_pass(new_frame)
         if new_frame.dirty:
             self._frame_fixpoint(new_frame)
         result = {r: frozenset(vs) for r, vs in new_frame.acc.items()}
@@ -733,7 +718,11 @@ class Engine:
                 for v in vals:
                     self._add(label, r, v)
 
-    def _accumulate_result(self, fr):
+    def _frame_pass(self, fr):
+        """Bind the frame's formals, run its body and add each world's
+        result to what the frame has returned so far."""
+        self._bind_formals(fr)
+        self.apply_compound(fr.version.body, fr)
         if not fr.version.is_function():
             return
         rl = fr.scope["Result"]
@@ -743,13 +732,8 @@ class Engine:
                 fr.acc.setdefault(r, set()).update(self.diagram.successors(r, rl))
 
     def _frame_fixpoint(self, fr):
-        def step():
-            self._bind_formals(fr)
-            self.apply_compound(fr.version.body, fr)
-            self._accumulate_result(fr)
-
         self._fixpoint(
-            step,
+            lambda: self._frame_pass(fr),
             "recursion fixpoint for %r exceeded %d iterations" % (fr.version.name, self.config.max_iters),
             fr.version.pos,
         )

@@ -4,8 +4,9 @@ Two commands: `analyze` runs one program and renders its reports,
 `corpus` checks a directory of programs against frozen expectations.
 
 Exit status: 0 clean, 1 analysis reported errors (or expectations
-failed), 2 unusable input (parse/static errors, bad entry, bad paths, a cap or
-iteration ceiling below 1, a program that nests too deeply).
+failed), 2 unusable input (parse/static errors, bad entry, a source that
+cannot be read or is not UTF-8, a report path that cannot be written, a
+cap or iteration ceiling below 1, a program that nests too deeply).
 """
 
 import argparse
@@ -18,11 +19,13 @@ from aliasgraph.lang import ParseError, parse_file, resolve
 from aliasgraph.query import (
     AliasQuery,
     QueryError,
+    alias_pairs,
     build_report,
     deutsch_report,
     emit_dot,
     emit_json,
     query_alias,
+    state_at,
 )
 
 
@@ -60,7 +63,7 @@ def _load(path, entry, config):
             return None, 2
         engine = Engine(program, config)
         engine.analyze(entry)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(_paint("cannot read %s: %s" % (path, exc), "31"), file=sys.stderr)
         return None, 2
     except ParseError as exc:
@@ -89,15 +92,18 @@ def run(args, config) -> int:
     # the DOT drawing of an unknown point cannot be drawn
     answered = _print_answers(args, engine, report, out)
 
+    written = True
     if args.json:
-        _write(args.json, emit_json(report))
+        written = _write(args.json, emit_json(report))
     if args.dot:
-        if args.at is None:
-            _write(args.dot, emit_dot(engine.diagram, engine.report_scope()))
-        elif args.at in engine.snapshots:
-            _write(args.dot, emit_dot(*engine.snapshots[args.at]))
+        try:
+            written = _write(args.dot, emit_dot(*state_at(engine, args.at))) and written
+        except QueryError:
+            pass  # an unknown point has no drawing; the answers said so
 
     _print_diagnostics(engine.diagnostics)
+    if not written:
+        return 2
     return 1 if engine.has_errors() or not answered else 0
 
 
@@ -122,11 +128,11 @@ def _print_answers(args, engine, report, out):
     shown = report["final"]["pairs"]
     where = "final"
     if args.at is not None:
-        by_label = {point["label"]: point["pairs"] for point in report["points"]}
-        if args.at not in by_label:
-            print(_paint("unknown program point %r" % args.at, "31"), file=sys.stderr)
+        try:
+            shown = alias_pairs(*state_at(engine, args.at), engine.universe)
+        except QueryError as exc:
+            print(_paint(str(exc), "31"), file=sys.stderr)
             return False
-        shown = by_label[args.at]
         where = "at %s" % args.at
     print("alias pairs (%s):" % where, file=out)
     for p, q in shown:
@@ -143,11 +149,18 @@ def _print_answers(args, engine, report, out):
 
 
 def _write(path, blob):
-    if path == "-":
-        sys.stdout.write(blob.decode("utf-8"))
-    else:
-        with open(path, "wb") as fh:
-            fh.write(blob)
+    """Write blob to path ('-' for stdout); False after saying why it
+    cannot be written."""
+    try:
+        if path == "-":
+            sys.stdout.write(blob.decode("utf-8"))
+        else:
+            with open(path, "wb") as fh:
+                fh.write(blob)
+    except OSError as exc:
+        print(_paint("cannot write %s: %s" % (path, exc), "31"), file=sys.stderr)
+        return False
+    return True
 
 
 def _pairs_as_sets(doc):
@@ -174,8 +187,15 @@ def run_corpus(args, config) -> int:
             print("SKIP %s (no expectation file)" % name)
             skipped += 1
             continue
-        with open(want_path, "r", encoding="utf-8") as fh:
-            want_doc = json.load(fh)
+        try:
+            with open(want_path, "r", encoding="utf-8") as fh:
+                want_doc = json.load(fh)
+            if not isinstance(want_doc, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            print(_paint("FAIL %s (unreadable expectation: %s)" % (name, exc), "31"))
+            failed += 1
+            continue
         engine, rc = _load(oo_path, want_doc.get("entry", args.entry), config)
         if rc:
             print(_paint("FAIL %s (did not analyze)" % name, "31"))

@@ -451,10 +451,7 @@ class _Parser:
             if self.at(":="):
                 self.advance()
                 return Assign(target=path, source=self.parse_rhs(), pos=pos)
-            if self.at("("):
-                return CallInstr(call=self.finish_call(path, pos), pos=pos)
-            # bare call statement: `f` or `x.f`
-            return CallInstr(call=self.call_expr(path, pos), pos=pos)
+            return CallInstr(call=self.parse_call(path, pos), pos=pos)
         raise self.fail("expected an instruction, found %r" % (text or "end of input"))
 
     # -- "if" parses straight into a choice of guarded branches.  Each
@@ -505,31 +502,27 @@ class _Parser:
         return Loop(body=body, until=until, pos=pos)
 
     def parse_rhs(self):
-        if self.at("Void"):
-            self.advance()
-            return None
         pos = self.pos()
-        path = self.parse_path()
-        if self.at("("):
-            return self.finish_call(path, pos)
-        return path
+        operand = self.parse_operand()
+        if operand is not None and self.at("("):
+            return self.parse_call(operand, pos)
+        return operand
 
-    def call_expr(self, path, pos):
+    def parse_call(self, path, pos):
+        """call ::= path ["(" [operand {"," operand}] ")"], after its path."""
         # `Current` alone names no routine
         if not path:
             raise ParseError(Diagnostic("error", "expected a routine name to call, found 'Current'", pos, self.source))
-        return CallExpr(target=path[:-1] or None, name=path[-1], pos=pos)
-
-    def finish_call(self, path, pos):
-        call = self.call_expr(path, pos)
-        self.expect("(")
-        while not self.at(")"):
-            call.actuals.append(self.parse_operand())
-            if self.at(","):
-                self.advance()
-            elif not self.at(")"):
-                raise self.fail("expected ',' or ')' in the argument list")
-        self.expect(")")
+        call = CallExpr(target=path[:-1] or None, name=path[-1], pos=pos)
+        if self.at("("):
+            self.advance()
+            while not self.at(")"):
+                call.actuals.append(self.parse_operand())
+                if self.at(","):
+                    self.advance()
+                elif not self.at(")"):
+                    raise self.fail("expected ',' or ')' in the argument list")
+            self.expect(")")
         return call
 
     def parse_operand(self):
@@ -637,15 +630,6 @@ class ClassTable:
                 versions.append(decl.routines[rname])
         return versions
 
-    def find_callee(self, owner, rname):
-        """The routine an unqualified call from a routine of class owner
-        (None at top level) names: the class's own, possibly inherited,
-        version, else the top-level routine of that name."""
-        version = self.find_routine(owner, rname)
-        if version is None:
-            version = self.program.routines.get(rname)
-        return version
-
     def path_type(self, routine, path):
         """The static type of a name path inside routine, as (type, None),
         or (None, why) when the path has none: its head names nothing, it
@@ -666,6 +650,27 @@ class ClassTable:
                 return None, "type %r has no attribute %r" % (t, seg)
             t = nxt
         return t, None
+
+    def callees(self, routine, call):
+        """The routine versions a call inside routine may land in, as
+        (versions, None), or (None, why) when it names none.  An
+        unqualified call names the owner's own, possibly inherited,
+        version, else the top-level routine of that name; a qualified
+        one every version its receiver's static type admits, that
+        type's own first."""
+        if call.target is None:
+            version = self.find_routine(routine.owner, call.name) or self.program.routines.get(call.name)
+            if version is None:
+                return None, "unknown routine %r" % call.name
+            return [version], None
+        t, why = self.path_type(routine, call.target)
+        if why is not None:
+            return None, why
+        if t not in self.classes:
+            return None, "cannot call %r on opaque type %r" % (call.name, t)
+        if self.find_routine(t, call.name) is None:
+            return None, "type %r has no routine %r" % (t, call.name)
+        return self.dispatch_versions(t, call.name), None
 
 
 def _walk_instrs(body):
@@ -756,9 +761,9 @@ class Resolver:
                 if instr.point in points:
                     self.error("duplicate program point %r in %r" % (instr.point, routine.name), instr.pos)
                 points.add(instr.point)
-            self.check_instr(instr, routine, types, formals)
+            self.check_instr(instr, routine, formals)
 
-    def check_instr(self, instr, routine, types, formals):
+    def check_instr(self, instr, routine, formals):
         if isinstance(instr, Assign):
             self.check_target(instr.target, routine, formals, instr.pos)
             if isinstance(instr.source, CallExpr):
@@ -769,7 +774,7 @@ class Resolver:
             name = instr.target
             if name in formals:
                 self.error("cannot create into formal %r" % name, instr.pos)
-            elif name not in types and (routine.owner is None or self.table.find_attr(routine.owner, name) is None):
+            elif self.table.path_type(routine, (name,))[1] is not None:
                 self.error("unknown variable %r in create" % name, instr.pos)
         elif isinstance(instr, Choice):
             for c, _ in instr.branches:
@@ -797,36 +802,21 @@ class Resolver:
         self.check_path(path, routine, pos)
 
     def check_path(self, path, routine, pos):
-        """The static type of the path, or None after reporting why it
-        has none."""
-        t, why = self.table.path_type(routine, path)
+        why = self.table.path_type(routine, path)[1]
         if why is not None:
             self.error(why, pos)
-        return t
 
     def check_call(self, call, routine):
-        if call.target is None:
-            version = self.table.find_callee(routine.owner, call.name)
-            if version is None:
-                self.error("unknown routine %r" % call.name, call.pos)
-        else:
-            t = self.check_path(call.target, routine, call.pos)
-            if t is None:
-                version = None
-            elif t not in self.program.classes:
-                self.error("cannot call %r on opaque type %r" % (call.name, t), call.pos)
-                version = None
-            else:
-                version = self.table.find_routine(t, call.name)
-                if version is None:
-                    self.error("type %r has no routine %r" % (t, call.name), call.pos)
+        versions, why = self.table.callees(routine, call)
+        if why is not None:
+            self.error(why, call.pos)
         for a in call.actuals:
             if a is not None:
                 self.check_path(a, routine, call.pos)
-        if version is not None and len(call.actuals) != len(version.formals):
+        if versions is not None and len(call.actuals) != len(versions[0].formals):
             self.error(
                 "call to %r passes %d argument(s), expected %d"
-                % (call.name, len(call.actuals), len(version.formals)),
+                % (call.name, len(call.actuals), len(versions[0].formals)),
                 call.pos,
             )
 

@@ -181,7 +181,7 @@ def query_alias(engine, query: AliasQuery):
     state's root masks are built by its first query and kept for the
     rest, so queries come after the analysis.
     """
-    diagram, scope = _state_at(engine, query.at)
+    diagram, scope = state_at(engine, query.at)
     masks = _STATE_MASKS.get(diagram)
     if masks is None:
         masks = _STATE_MASKS[diagram] = RootMasks(diagram)
@@ -195,7 +195,9 @@ def query_alias(engine, query: AliasQuery):
     return answers
 
 
-def _state_at(engine, at):
+def state_at(engine, at):
+    """The (diagram, scope) at program point ``at``, or at the end when
+    ``at`` is None.  Raises QueryError for a point not recorded."""
     if at is None:
         return engine.diagram, engine.report_scope()
     if at not in engine.snapshots:
@@ -252,8 +254,8 @@ def deutsch_report(engine, k=3):
     are their ``hd`` fields.  P1 is structural; P2-P5 each say that no
     pair of one family of paths aliases.
     """
-    d2, s2 = _state_at(engine, "L2")
-    d3, s3 = _state_at(engine, "L3")
+    d2, s2 = state_at(engine, "L2")
+    d3, s3 = state_at(engine, "L3")
     hd, tl = Label("hd"), Label("tl")
 
     def spine(name, scope):

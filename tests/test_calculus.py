@@ -20,7 +20,7 @@ import aliasgraph
 from aliasgraph.calculus import AnalysisConfig, AnalysisError, Engine, _DeltaFrame
 from aliasgraph.diagram import Label
 from aliasgraph.lang import parse_program
-from aliasgraph.query import AliasQuery, alias_pairs, query_alias
+from aliasgraph.query import AliasQuery, alias_pairs, build_report, query_alias
 
 import oracles
 from oracles import CloningEngine, canonical_form, reachable_nodes
@@ -621,6 +621,19 @@ def test_exact_receiver_type_needs_no_fork():
     assert not aliased(e, "a", "t.b")
 
 
+def test_a_definitely_void_receiver_under_dispatch_forks_no_world():
+    # the receivers are read once, before dispatch: a void one stops the
+    # call before any version runs, so no branch is replayed
+    e = run("""
+class T1 feature b: T1 set (o: T1) do b := o end end
+class T2 inherit T1 redefine set end feature set (o: T1) do b := o end end
+main local t: T1 a: T1 do create a t.set (a) end
+""")
+    assert (len(e.diagram.roots), len(e.diagram.nodes)) == (1, 2)
+    assert build_report(e)["final"]["pairs"] == []
+    assert [d.message for d in e.diagnostics] == ["call target 't' is definitely void"]
+
+
 # ---------------------------------------------------------------------------
 # recursion
 # ---------------------------------------------------------------------------
@@ -984,19 +997,20 @@ def test_class_routine_entry_requires_the_dotted_form():
 
 
 @pytest.mark.parametrize(
-    "src, target",
+    "src, why",
     [
-        ("main do y.f end", "y"),
-        ("main local x: T do x.f end", "x"),
-        (EMPTY_CLASS + "main local x: C do x.z.f end", "x.z"),
+        ("main do y.f end", "unknown name 'y'"),
+        ("main local x: T do x.f end", "cannot call 'f' on opaque type 'T'"),
+        (EMPTY_CLASS + "main local x: C do x.z.f end", "type 'C' has no attribute 'z'"),
     ],
 )
-def test_a_call_on_a_path_without_a_class_cannot_resolve(src, target):
-    # the library call skips ``resolve``: an unknown name, an opaque type
-    # and a missing attribute all leave the call nothing to dispatch to
+def test_a_call_on_a_path_without_a_class_cannot_resolve(src, why):
+    # the library call skips ``resolve``, yet reports the resolver's
+    # reason: an unknown name, an opaque type and a missing attribute
+    # all leave the call nothing to dispatch to
     e = Engine(parse_program(src))
     e.analyze("main")
-    assert [d.message for d in e.diagnostics] == ["cannot resolve call 'f' on '%s'" % target]
+    assert [d.message for d in e.diagnostics] == [why]
     assert e.has_errors()
 
 

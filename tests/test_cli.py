@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -71,6 +72,17 @@ def test_every_export_imports():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(aliasgraph.__all__)
 
 
+def test_every_module_parses_as_python_3_10():
+    """``requires-python`` admits 3.10, so no module may use newer syntax,
+    such as ``except*``.  This checks the grammar only: a newer library
+    behaviour still passes it, as the possessive regex quantifier that
+    once kept the token pattern from compiling on 3.10 would have."""
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for module in sorted(Path(aliasgraph.__file__).resolve().parent.glob("*.py")):
+        ast.parse(module.read_text(encoding="utf-8"), str(module), feature_version=(3, 10))
+
+
 def test_clean_program_exits_zero(tmp_path, capsys):
     rc = main(["analyze", write(tmp_path, "ok.oo", CLEAN_SRC)])
     out = capsys.readouterr().out
@@ -97,6 +109,14 @@ def test_missing_file_exits_two(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path / "ghost.oo")])
     assert rc == 2
     assert "ghost.oo" in capsys.readouterr().err
+
+
+def test_source_that_is_not_utf8_exits_two(tmp_path, capsys):
+    src = tmp_path / "wide.oo"
+    src.write_bytes(b"\xff\xfe" + CLEAN_SRC.encode("utf-16-le"))
+    rc = main(["analyze", str(src)])
+    assert rc == 2
+    assert "cannot read %s: " % src in capsys.readouterr().err
 
 
 def test_unknown_entry_exits_two(tmp_path, capsys):
@@ -303,6 +323,16 @@ def test_json_and_dot_cannot_share_stdout(tmp_path, capsys):
     assert "cannot both write to stdout" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--json", "--dot"])
+def test_unwritable_report_path_exits_two_after_the_diagnostics(flag, tmp_path, capsys):
+    bad = tmp_path / "nowhere" / "out"
+    rc = main(["analyze", write(tmp_path, "void_target.oo", VOID_TARGET_SRC), flag, str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "cannot write %s: " % bad in err
+    assert "assignment target 'a.n' is definitely void" in err
+
+
 def test_dot_output(tmp_path, capsys):
     src_path = write(tmp_path, "ok.oo", CLEAN_SRC)
     out = tmp_path / "g.dot"
@@ -326,7 +356,7 @@ def test_dot_at_point_differs_from_final(tmp_path, capsys):
 def test_at_unknown_point_exits_one(tmp_path, capsys):
     rc = main(["analyze", write(tmp_path, "ok.oo", CLEAN_SRC), "--at", "L9"])
     assert rc == 1
-    assert "L9" in capsys.readouterr().err
+    assert "unknown program point 'L9' (recorded: none)" in capsys.readouterr().err
 
 
 def test_query_prints_alias_set(tmp_path, capsys):
@@ -448,6 +478,29 @@ class TestCorpus:
         out = capsys.readouterr().out
         assert rc == 1
         assert out.index("FAIL a_deep.oo (did not analyze)") < out.index("PASS b_clean.oo")
+        assert "1 passed, 1 failed, 0 skipped" in out
+
+    def test_source_that_is_not_utf8_fails_and_the_run_goes_on(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "a_wide.oo").write_bytes(b"\xff\xfe" + CLEAN_SRC.encode("utf-16-le"))
+        (tmp_path / "a_wide.expected.json").write_text('{"final": {"pairs": []}}')
+        _freeze_expectation(tmp_path, "b_clean.oo", CLEAN_SRC, monkeypatch)
+        capsys.readouterr()
+        rc = main(["corpus", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.index("FAIL a_wide.oo (did not analyze)") < out.index("PASS b_clean.oo")
+        assert "1 passed, 1 failed, 0 skipped" in out
+
+    @pytest.mark.parametrize("doc", ["{bad", "[]"])
+    def test_unreadable_expectation_fails_only_its_file(self, doc, tmp_path, capsys, monkeypatch):
+        write(tmp_path, "a_clean.oo", CLEAN_SRC)
+        (tmp_path / "a_clean.expected.json").write_text(doc)
+        _freeze_expectation(tmp_path, "b_clean.oo", CLEAN_SRC, monkeypatch)
+        capsys.readouterr()
+        rc = main(["corpus", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.index("FAIL a_clean.oo (unreadable expectation: ") < out.index("PASS b_clean.oo")
         assert "1 passed, 1 failed, 0 skipped" in out
 
     def test_empty_dir_passes(self, tmp_path, capsys):
