@@ -22,13 +22,14 @@ The engine walks a routine body and rewrites one shared diagram in place:
     the receiver's static type admits.
 
 Choice handling never copies whole diagrams.  Each branch runs against
-the shared diagram while a delta frame records its net added and removed
-edges; the branch is then rolled back.  Replay applies branch one in
-place and, for every further branch, re-keys its delta onto fresh clones
-of the roots (and of any other touched node), first copying onto those
-clones the restored state's edges they lack.  Nodes untouched by any
-branch stay shared between the worlds, which is what keeps the
-representation small.
+the shared diagram while the diagram records the branch's net added and
+removed edges (``AliasDiagram.record``); the branch is then rolled back,
+and its new roots are the ones the root set gained.  Replay applies
+branch one in place and, for every further branch, re-keys its delta
+onto fresh clones of the roots (and of any other touched node), first
+copying onto those clones the restored state's edges they lack.  Nodes
+untouched by any branch stay shared between the worlds, which is what
+keeps the representation small.
 
 Termination of loop and recursion fixpoints rests on three policies:
 iteration stops when the live state repeats (the step is deterministic,
@@ -61,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from aliasgraph.diagram import AliasDiagram, Edge, Label, NodeId, label_path
+from aliasgraph.diagram import AliasDiagram, Delta, Label, NodeId, label_path
 from aliasgraph.lang import (
     Assign,
     CallExpr,
@@ -97,27 +98,6 @@ class AnalysisConfig:
 class AnalysisError(Exception):
     """Raised when the entry names no routine: an unknown entry routine,
     an unknown class, or a class without that routine."""
-
-
-@dataclass
-class _DeltaFrame:
-    """Net edge effects of one choice branch, with cancellation."""
-
-    added: Set[Edge] = field(default_factory=set)
-    removed: Set[Edge] = field(default_factory=set)
-    roots_added: Set[NodeId] = field(default_factory=set)
-
-    def record_add(self, e):
-        if e in self.removed:
-            self.removed.discard(e)
-        else:
-            self.added.add(e)
-
-    def record_remove(self, e):
-        if e in self.added:
-            self.added.discard(e)
-        else:
-            self.removed.add(e)
 
 
 @dataclass
@@ -166,7 +146,6 @@ class Engine:
         self._diag_seen = set()
         self.snapshots: Dict[str, Tuple[AliasDiagram, Dict[str, Label]]] = {}
         self.snapshot_order: List[str] = []
-        self.delta_stack: List[_DeltaFrame] = []
         # the outermost running fixpoint's scope; None outside fixpoints
         self.fixpoint: Optional[_FixpointScope] = None
         self.call_stack: List[_Frame] = []
@@ -189,32 +168,6 @@ class Engine:
 
     def has_errors(self):
         return any(d.severity == "error" for d in self.diagnostics)
-
-    # ------------------------------------------------------------------
-    # the single mutation funnel: every semantic edge change goes through
-    # ``_add`` and ``_remove`` (``_set_targets`` writes through them) so
-    # delta frames stay trustworthy
-    # ------------------------------------------------------------------
-
-    def _add(self, label, s, t):
-        if self.diagram.add_edge(label, s, t) and self.delta_stack:
-            self.delta_stack[-1].record_add((label, s, t))
-
-    def _remove(self, label, s, t):
-        if self.diagram.remove_edge(label, s, t) and self.delta_stack:
-            self.delta_stack[-1].record_remove((label, s, t))
-
-    def _set_targets(self, label, source, targets):
-        """Make ``targets`` the whole target set of (label, source),
-        writing only the edges that change."""
-        old = self.diagram.successors(source, label)
-        for t in [t for t in old if t not in targets]:
-            self._remove(label, source, t)
-        for t in targets:
-            # ``old`` is the live set (emptied, not refilled, once its
-            # last target goes), so the test reads the current edges
-            if t not in old:
-                self._add(label, source, t)
 
     # ------------------------------------------------------------------
     # guards, over merged value sets
@@ -282,10 +235,8 @@ class Engine:
         if isinstance(instr.source, CallExpr):
             self._run_call(instr.source, frame, assign_target=instr.target, pos=instr.pos)
             return
-        if instr.source is None:
-            per_root = {r: frozenset() for r in self.diagram.roots}
-        else:
-            per_root = self._read(instr.source, frame, instr.pos)
+        # a root missing from ``per_root`` gets no value: ``Void``
+        per_root = {} if instr.source is None else self._read(instr.source, frame, instr.pos)
         self._relink_target(instr.target, per_root, frame, instr.pos)
 
     def _read(self, names, frame, pos):
@@ -330,11 +281,7 @@ class Engine:
         prefix, attr = labels[:-1], labels[-1]
         owners_by_root = self.diagram.value_sets_by_root(prefix)
         if not any(owners_by_root.values()):
-            self._diag(
-                "warning",
-                "assignment target '%s' is definitely void; no effect" % ".".join(target_names),
-                pos,
-            )
+            self._diag("warning", "assignment target '%s' is definitely void; no effect" % ".".join(target_names), pos)
             return
         classes: Dict[tuple, List[NodeId]] = {}
         for r in sorted(self.diagram.roots):
@@ -356,9 +303,22 @@ class Engine:
                 mine = copies.get(o, o)
                 if o in weak:
                     for t in targets:
-                        self._add(attr, mine, t)
+                        self.diagram.add_edge(attr, mine, t)
                 else:
                     self._set_targets(attr, mine, targets)
+
+    def _set_targets(self, label, source, targets):
+        """Make ``targets`` the whole target set of (label, source),
+        writing only the edges that change."""
+        g = self.diagram
+        old = g.successors(source, label)
+        for t in [t for t in old if t not in targets]:
+            g.remove_edge(label, source, t)
+        for t in targets:
+            # ``old`` is the live set (emptied, not refilled, once its
+            # last target goes), so the test reads the current edges
+            if t not in old:
+                g.add_edge(label, source, t)
 
     def _privatize(self, owners, class_roots):
         """Give one group of roots private copies of the shared part of
@@ -405,7 +365,7 @@ class Engine:
         copies = {orig: g.fresh_node() for orig in sorted(shared)}
         for orig, copy in copies.items():
             for l, t in g.out_edges(orig):
-                self._add(l, copy, copies.get(t, t))
+                g.add_edge(l, copy, copies.get(t, t))
         # entry edges: a source that feeds a copied node is in the cone
         # exactly when the group reaches it; if it was not copied it is
         # either a group root or private to the group, so rerouting it
@@ -418,8 +378,8 @@ class Engine:
             if s in cone and s not in copies and s not in roots_outside
         ]
         for (l, s, t) in entries:
-            self._remove(l, s, t)
-            self._add(l, s, copies[t])
+            g.remove_edge(l, s, t)
+            g.add_edge(l, s, copies[t])
         return copies, frozenset(contested - forkable)
 
     def apply_create(self, instr, frame):
@@ -461,29 +421,25 @@ class Engine:
     # -- delta replay
 
     def _branches_by_replay(self, site, live):
-        pre_roots = set(self.diagram.roots)
-        watermark = self.diagram._next_id
-        frames: List[_DeltaFrame] = []
+        g = self.diagram
+        pre_roots = set(g.roots)
+        watermark = g._next_id
+        deltas: List[Delta] = []
+        new_roots: List[Set[NodeId]] = []
         for thunk in live:
-            frame = _DeltaFrame()
-            self.delta_stack.append(frame)
+            deltas.append(g.record())
             thunk()
-            self.delta_stack.pop()
-            # roll back, off the record: the next branch starts from the
-            # same state, and replay below re-applies the net effects
-            for (l, s, t) in frame.added:
-                self.diagram.remove_edge(l, s, t)
-            for (l, s, t) in frame.removed:
-                self.diagram.add_edge(l, s, t)
-            for r in frame.roots_added:
-                self.diagram.roots.discard(r)
-            assert self.diagram.roots == pre_roots, "a branch left the root set unbalanced"
-            frames.append(frame)
+            # roll back: the next branch starts from the same state, and
+            # replay below re-applies the net effects and the new roots
+            g.rollback(deltas[-1])
+            assert pre_roots <= g.roots, "a branch removed a root"
+            new_roots.append(g.roots - pre_roots)
+            g.roots &= pre_roots
 
-        touched_first = {s for (_, s, _) in frames[0].added | frames[0].removed}
+        touched_first = {s for (_, s, _) in deltas[0].added | deltas[0].removed}
         mappings: List[Dict[NodeId, NodeId]] = []
-        for b, frame in enumerate(frames[1:], 1):
-            touched = {s for (_, s, _) in frame.added | frame.removed}
+        for b, delta in enumerate(deltas[1:], 1):
+            touched = {s for (_, s, _) in delta.added | delta.removed}
             clone_sources = pre_roots | {s for s in (touched | touched_first) if s < watermark}
             # sorted: clones are allocated in this order
             mappings.append({orig: self._branch_clone(site, b, orig) for orig in sorted(clone_sources)})
@@ -496,13 +452,12 @@ class Engine:
                     self._copy_onto_clone(orig, copy, mapping)
 
         # branch one applies in place, the rest through their mappings
-        for frame, mapping in zip(frames, [{}] + mappings):
-            for (l, s, t) in frame.added:
-                self._add(l, mapping.get(s, s), mapping.get(t, t))
-            for (l, s, t) in frame.removed:
-                self._remove(l, mapping.get(s, s), mapping.get(t, t))
-            for r in frame.roots_added:
-                self._add_root(mapping.get(r, r))
+        for delta, roots, mapping in zip(deltas, new_roots, [{}] + mappings):
+            for (l, s, t) in delta.added:
+                g.add_edge(l, mapping.get(s, s), mapping.get(t, t))
+            for (l, s, t) in delta.removed:
+                g.remove_edge(l, mapping.get(s, s), mapping.get(t, t))
+            g.roots.update(mapping.get(r, r) for r in roots)
 
     def _copy_onto_clone(self, orig, copy, mapping):
         """Give ``copy`` the edges of ``orig`` it lacks: its out-edges,
@@ -513,15 +468,14 @@ class Engine:
         for l, t in g.out_edges(orig):
             t = mapping.get(t, t)
             if t not in g.successors(copy, l):
-                self._add(l, copy, t)
+                g.add_edge(l, copy, t)
         # unmapped parents must reach this world's version too,
         # otherwise effects behind a shared node would be lost
         for l, s in g.in_edges(orig):
             if s not in mapping and copy not in g.successors(s, l):
-                self._add(l, s, copy)
+                g.add_edge(l, s, copy)
 
     def _branch_clone(self, site, b, orig):
-        is_root = orig in self.diagram.roots
         scope = self.fixpoint
         if scope is None:
             clone = self.diagram.fresh_node()
@@ -544,15 +498,9 @@ class Engine:
             if clone is None:
                 clone = scope.clone_memo[key] = self.diagram.fresh_node()
                 self.lineage[clone] = key
-        if is_root:
-            self._add_root(clone)
+        if orig in self.diagram.roots:
+            self.diagram.roots.add(clone)
         return clone
-
-    def _add_root(self, node):
-        if node not in self.diagram.roots:
-            self.diagram.roots.add(node)
-            if self.delta_stack:
-                self.delta_stack[-1].roots_added.add(node)
 
     # ------------------------------------------------------------------
     # loops
@@ -613,7 +561,7 @@ class Engine:
         # swept its names, so no edge here names a closed activation.
         missing = frozenset().union(*(key[0] for key in states)) - self.diagram.edge_set()
         for (l, s, t) in missing:
-            self._add(l, s, t)
+            self.diagram.add_edge(l, s, t)
 
     # ------------------------------------------------------------------
     # calls
@@ -661,10 +609,8 @@ class Engine:
         actuals = [m if m is None else {r: m[r] for r in worlds} for m in actuals]
         actuals_key = tuple(None if m is None else frozenset().union(*m.values()) for m in actuals)
         current = frame.current
-        if receivers is None:
-            context_key = (id(version), current, actuals_key)
-        else:
-            context_key = (id(version), frozenset().union(*receivers.values()), actuals_key)
+        who = current if receivers is None else frozenset().union(*receivers.values())
+        context_key = (id(version), who, actuals_key)
         bindings = [receivers] + actuals
 
         for fr in reversed(self.call_stack):
@@ -716,7 +662,7 @@ class Engine:
             label = fr.scope[name]
             for r, vals in bound.items():
                 for v in vals:
-                    self._add(label, r, v)
+                    self.diagram.add_edge(label, r, v)
 
     def _frame_pass(self, fr):
         """Bind the frame's formals, run its body and add each world's
@@ -743,7 +689,7 @@ class Engine:
         own = [l for l in fr.scope.values() if l.tag == fr.act]
         doomed = [(l, r, t) for r in self.diagram.roots for l in own for t in self.diagram.successors(r, l)]
         for (l, s, t) in doomed:
-            self._remove(l, s, t)
+            self.diagram.remove_edge(l, s, t)
 
     # ------------------------------------------------------------------
     # entry
@@ -776,11 +722,7 @@ class Engine:
         # no call may match the entry's context: nothing re-analyzes it
         frame = _Frame(version=version, context_key=None, act=0)
         if version.formals:
-            self._diag(
-                "warning",
-                "entry routine %r has formals; they start unbound" % version.name,
-                version.pos,
-            )
+            self._diag("warning", "entry routine %r has formals; they start unbound" % version.name, version.pos)
         self.call_stack.append(frame)
         self.apply_compound(version.body, frame)
         # the entry scope deliberately stays bound: final reports speak

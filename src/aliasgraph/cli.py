@@ -110,41 +110,31 @@ def run(args, config) -> int:
 def _print_answers(args, engine, report, out):
     """Print the requested answers; False after the first request that
     cannot be answered, whose error goes to stderr."""
-    if args.deutsch:
-        try:
+    try:
+        if args.deutsch:
             props = deutsch_report(engine, k=3)
-        except QueryError as exc:
-            print(_paint(str(exc), "31"), file=sys.stderr)
-            return False
-        for name in ("P1", "P2", "P3", "P4", "P5"):
-            line = "%s: %s" % (name, "yes" if props[name] else "no")
-            print(line, file=out)
-            report["diagnostics"].append("deutsch %s (k=%d)" % (line, props["k"]))
-        share = "no-share root component: %s" % ("yes" if props["no_share_root"] else "no")
-        print(share, file=out)
-        report["diagnostics"].append("deutsch " + share)
+            for name in ("P1", "P2", "P3", "P4", "P5"):
+                line = "%s: %s" % (name, "yes" if props[name] else "no")
+                print(line, file=out)
+                report["diagnostics"].append("deutsch %s (k=%d)" % (line, props["k"]))
+            share = "no-share root component: %s" % ("yes" if props["no_share_root"] else "no")
+            print(share, file=out)
+            report["diagnostics"].append("deutsch " + share)
 
-    print("entry: %s" % report["entry"], file=out)
-    shown = report["final"]["pairs"]
-    where = "final"
-    if args.at is not None:
-        try:
+        print("entry: %s" % report["entry"], file=out)
+        shown = report["final"]["pairs"]
+        if args.at is not None:
             shown = alias_pairs(*state_at(engine, args.at), engine.universe)
-        except QueryError as exc:
-            print(_paint(str(exc), "31"), file=sys.stderr)
-            return False
-        where = "at %s" % args.at
-    print("alias pairs (%s):" % where, file=out)
-    for p, q in shown:
-        print("  %s ~ %s" % (p, q), file=out)
+        print("alias pairs (%s):" % ("final" if args.at is None else "at %s" % args.at), file=out)
+        for p, q in shown:
+            print("  %s ~ %s" % (p, q), file=out)
 
-    for qtext in args.query:
-        try:
+        for qtext in args.query:
             answers = query_alias(engine, AliasQuery(qtext, at=args.at))
-        except QueryError as exc:
-            print(_paint(str(exc), "31"), file=sys.stderr)
-            return False
-        print("alias(%s) = {%s}" % (qtext, ", ".join(sorted(answers))), file=out)
+            print("alias(%s) = {%s}" % (qtext, ", ".join(sorted(answers))), file=out)
+    except QueryError as exc:
+        print(_paint(str(exc), "31"), file=sys.stderr)
+        return False
     return True
 
 
@@ -164,11 +154,21 @@ def _write(path, blob):
 
 
 def _pairs_as_sets(doc):
-    """label -> set of pair tuples, with 'final' as its own label."""
+    """label -> set of pair tuples, with 'final' as its own label.
+    Raises ValueError when ``doc`` is not shaped like a report."""
+    points, final = doc.get("points", []), doc.get("final", {})
+    if not isinstance(points, list) or not all(isinstance(part, dict) for part in points + [final]):
+        raise ValueError("'points' must be a list of objects and 'final' an object")
     out = {}
-    for point in doc.get("points", []):
-        out[point["label"]] = {tuple(p) for p in point.get("pairs", [])}
-    out["final"] = {tuple(p) for p in doc.get("final", {}).get("pairs", [])}
+    for label, part in [(point.get("label"), point) for point in points] + [("final", final)]:
+        if not isinstance(label, str):
+            raise ValueError("a point has no string 'label'")
+        pairs = part.get("pairs", [])
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p) for p in pairs
+        ):
+            raise ValueError("the pairs of %r must be a list of pairs of strings" % label)
+        out[label] = {tuple(p) for p in pairs}
     return out
 
 
@@ -192,17 +192,20 @@ def run_corpus(args, config) -> int:
                 want_doc = json.load(fh)
             if not isinstance(want_doc, dict):
                 raise ValueError("not a JSON object")
+            want = _pairs_as_sets(want_doc)
+            entry = want_doc.get("entry", args.entry)
+            if not isinstance(entry, str):
+                raise ValueError("'entry' must be a string")
         except (OSError, ValueError) as exc:
             print(_paint("FAIL %s (unreadable expectation: %s)" % (name, exc), "31"))
             failed += 1
             continue
-        engine, rc = _load(oo_path, want_doc.get("entry", args.entry), config)
+        engine, rc = _load(oo_path, entry, config)
         if rc:
             print(_paint("FAIL %s (did not analyze)" % name, "31"))
             failed += 1
             continue
         got = _pairs_as_sets(build_report(engine))
-        want = _pairs_as_sets(want_doc)
         diffs = []
         for label in sorted(set(got) | set(want)):
             missing = want.get(label, set()) - got.get(label, set())

@@ -26,7 +26,10 @@ Invariants maintained by every mutating operation:
   * each edge is stored once per direction: outgoing (source -> label ->
     targets, with an entry for every node, so its keys are the node
     set) and incoming (target -> (label, source) pairs); the two agree,
-    and neither keeps an empty bucket.
+    and neither keeps an empty bucket;
+  * open deltas record each edge change, innermost first: the change
+    is noted in the innermost delta ``record`` opened, and ``rollback``
+    undoes it off the record; a finished analysis leaves none open.
 
 The engine keeps one more: an edge whose label carries a nonzero
 activation tag leaves a root.  A routine's names are bound from the
@@ -42,12 +45,18 @@ Example:
     True
     >>> g.value_set((Label("a"),)) == frozenset({n})
     True
+    >>> d = g.record()
+    >>> g.remove_edge(Label("a"), r, n)
+    True
+    >>> g.rollback(d)
+    >>> d.removed == {(Label("a"), r, n)} and g.value_set((Label("a"),)) == frozenset({n})
+    True
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 NodeId = int
 
@@ -76,6 +85,14 @@ class Label(NamedTuple):
 Edge = Tuple[Label, NodeId, NodeId]
 
 
+class Delta:
+    """The net edge change since ``AliasDiagram.record`` opened it."""
+
+    def __init__(self) -> None:
+        self.added: Set[Edge] = set()
+        self.removed: Set[Edge] = set()
+
+
 # ---------------------------------------------------------------------------
 # The diagram proper
 # ---------------------------------------------------------------------------
@@ -97,6 +114,8 @@ class AliasDiagram:
         self._out: Dict[NodeId, Dict[Label, Set[NodeId]]] = {}
         self._in: Dict[NodeId, Set[Tuple[Label, NodeId]]] = {}
         self._next_id: int = 0
+        # the open deltas, innermost last
+        self._deltas: List[Delta] = []
 
     @property
     def nodes(self) -> AbstractSet[NodeId]:
@@ -143,6 +162,8 @@ class AliasDiagram:
             self._in[target] = {(label, source)}
         else:
             ins.add((label, source))
+        if self._deltas:
+            _note((label, source, target), self._deltas[-1].added, self._deltas[-1].removed)
         return True
 
     def remove_edge(self, label: Label, source: NodeId, target: NodeId) -> bool:
@@ -152,7 +173,25 @@ class AliasDiagram:
             return False
         _discard(out, label, target)
         _discard(self._in, target, (label, source))
+        if self._deltas:
+            _note((label, source, target), self._deltas[-1].removed, self._deltas[-1].added)
         return True
+
+    def record(self) -> Delta:
+        """Open a delta that notes each edge change until ``rollback``
+        closes it.  Deltas nest; a change is noted in the innermost."""
+        self._deltas.append(Delta())
+        return self._deltas[-1]
+
+    def rollback(self, delta: Delta) -> None:
+        """Close ``delta``, the innermost open one, and undo it off the record."""
+        assert self._deltas[-1] is delta, "rollback of a delta that is not the innermost open one"
+        outer, self._deltas = self._deltas[:-1], []
+        for e in delta.added:
+            self.remove_edge(*e)
+        for e in delta.removed:
+            self.add_edge(*e)
+        self._deltas = outer
 
     def edge_set(self) -> FrozenSet[Edge]:
         return frozenset([(l, s, t) for s, out in self._out.items() for l, ts in out.items() for t in ts])
@@ -251,6 +290,7 @@ class AliasDiagram:
                     by_target.setdefault(t, set()).add((label, n))
         assert by_target == self._in, "outgoing and incoming indexes disagree"
         assert all(n < self._next_id for n in self._out)
+        assert not self._deltas, "a delta was left open"
 
     def __repr__(self) -> str:
         return "AliasDiagram(nodes=%d, roots=%s, edges=%d)" % (len(self._out), sorted(self.roots), len(self.edge_set()))
@@ -258,6 +298,15 @@ class AliasDiagram:
 
 _NO_EDGES: Mapping[Label, AbstractSet[NodeId]] = MappingProxyType({})
 _NO_NODES: AbstractSet[NodeId] = frozenset()
+
+
+def _note(edge, gains, cancels):
+    """Note one edge change, or cancel its noted inverse: adding an edge
+    a delta removed, or removing one it added, leaves no trace."""
+    if edge in cancels:
+        cancels.discard(edge)
+    else:
+        gains.add(edge)
 
 
 def _discard(index, key, item):

@@ -1,0 +1,108 @@
+"""Print one sha256 per program: the same-answers check for refactors.
+
+    python3 tests/answer_digests.py [SET ...]
+
+The sets are ``corpus`` (``tests/corpus/``), ``scaled``
+(``tests/scaled/``), ``calls`` (the 200 programs of
+``tests/calls/frozen.json``), and ``worlds`` and ``fixpoints`` (every
+program of those benchmark workloads at seeds 1 and 7); with no
+argument, all five, 619 programs.  Each line is ``DIGEST NAME``.  A
+digest covers the program's static diagnostics, its JSON report with
+and without point snapshots, the DOT drawing of the final diagram, and
+the final root, node, edge and activation counts.
+
+A change that claims to keep every answer runs this at its parent and
+at itself, under two values of ``PYTHONHASHSEED``, and compares the
+output.  Program names are relative to the repository root, so two
+checkouts print the same lines.  Pytest does not collect this file;
+``tests/test_scaled.py`` runs it on the corpus.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for _path in (ROOT / "src", ROOT / "tests", ROOT / "bench"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from aliasgraph.calculus import AnalysisConfig, Engine  # noqa: E402
+from aliasgraph.lang import parse_program, resolve  # noqa: E402
+from aliasgraph.query import build_report, emit_dot, emit_json, state_at  # noqa: E402
+
+BENCH_SEEDS = (1, 7)
+
+
+def corpus():
+    for oo in sorted((ROOT / "tests" / "corpus").glob("*.oo")):
+        want = json.loads(oo.with_name(oo.stem + ".expected.json").read_text(encoding="utf-8"))
+        yield oo.relative_to(ROOT).as_posix(), oo.read_text(encoding="utf-8"), want.get("entry", "main")
+
+
+def scaled():
+    folder = ROOT / "tests" / "scaled"
+    for entry in json.loads((folder / "frozen.json").read_text(encoding="utf-8"))["programs"]:
+        oo = folder / entry["file"]
+        yield oo.relative_to(ROOT).as_posix(), oo.read_text(encoding="utf-8"), entry["entry"]
+
+
+def calls():
+    from oracles import gen_call_program
+
+    frozen = json.loads((ROOT / "tests" / "calls" / "frozen.json").read_text(encoding="utf-8"))
+    for entry in frozen["programs"].values():
+        yield "tests/calls/seed%d.oo" % entry["seed"], gen_call_program(entry["seed"]), frozen["entry"]
+
+
+def _bench(name):
+    import workloads
+
+    workload = {"worlds": workloads.Worlds, "fixpoints": workloads.Fixpoints}[name]
+    for seed in BENCH_SEEDS:
+        for p in workload(seed).programs:
+            yield "bench/%s/seed%d/%s" % (name, seed, p.name), p.source, p.entry
+
+
+SETS = {
+    "corpus": corpus,
+    "scaled": scaled,
+    "calls": calls,
+    "worlds": lambda: _bench("worlds"),
+    "fixpoints": lambda: _bench("fixpoints"),
+}
+
+
+def answer_digest(name, text, entry):
+    """The sha256 of everything the analysis answers for one program."""
+    h = hashlib.sha256()
+    program = parse_program(text, name)
+    static = resolve(program)
+    h.update("".join(d.render() + "\n" for d in static).encode("utf-8"))
+    if any(d.severity == "error" for d in static):
+        return h.hexdigest()
+    for points in (True, False):
+        engine = Engine(program, AnalysisConfig(record_points=points))
+        engine.analyze(entry)
+        h.update(emit_json(build_report(engine)))
+    h.update(emit_dot(*state_at(engine, None)))
+    d = engine.diagram
+    counts = (len(d.roots), len(d.nodes), sum(1 for _ in d.edges()), engine._next_act)
+    h.update(("roots %d nodes %d edges %d activations %d\n" % counts).encode("utf-8"))
+    return h.hexdigest()
+
+
+def main(argv):
+    unknown = [s for s in argv if s not in SETS]
+    if unknown:
+        print("unknown set %s; choose from %s" % (", ".join(unknown), ", ".join(SETS)), file=sys.stderr)
+        return 2
+    for set_name in argv or SETS:
+        for name, text, entry in SETS[set_name]():
+            print(answer_digest(name, text, entry), name, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

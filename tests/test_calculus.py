@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aliasgraph
-from aliasgraph.calculus import AnalysisConfig, AnalysisError, Engine, _DeltaFrame
+from aliasgraph.calculus import AnalysisConfig, AnalysisError, Engine
 from aliasgraph.diagram import Label
 from aliasgraph.lang import parse_program
 from aliasgraph.query import AliasQuery, alias_pairs, build_report, query_alias
@@ -110,15 +110,14 @@ def record_writes(diagram):
 
 
 def relink_in_a_branch(e, target, per_root):
-    """Relink ``target`` under a fresh delta frame, as inside a choice
-    branch; returns the frame and the diagram writes made."""
-    frame = _DeltaFrame()
-    e.delta_stack.append(frame)
+    """Relink ``target`` under a fresh delta, as inside a choice branch,
+    then roll it back; returns the delta and the diagram writes made."""
+    frame = e.diagram.record()
     calls = record_writes(e.diagram)
     e._relink_target(target, per_root, e.entry_frame, None)
     for name in ("add_edge", "remove_edge"):
         delattr(e.diagram, name)
-    e.delta_stack.pop()
+    e.diagram.rollback(frame)
     return frame, calls
 
 
@@ -174,6 +173,21 @@ def test_replay_onto_a_memoized_clone_adds_only_the_edges_it_lacks(monkeypatch):
         assert sorted(calls) == sorted(("add_edge",) + e for e in lacking)
     # some clone came from the memo, already holding edges it needs
     assert any(len(lacking) < len(wanted) for wanted, lacking, _ in copied)
+
+
+def test_roots_a_branch_adds_stay_out_of_the_next_branch():
+    """The inner choice gives branch one a new root.  Rolled back, that
+    root must leave the root set too: were it kept, branch two would
+    write into it, and the world where a = c would also see d, so
+    ``c.n ~ d`` would appear."""
+    src = EMPTY_CLASS + (
+        "main local a: C b: C c: C d: C x: C do create a create b create c"
+        " then then a := b else a := c end else create d end"
+        " a.n := d x := c.n end"
+    )
+    pairs = build_report(run(src))["final"]["pairs"]
+    assert pairs == build_report(run(src, engine=CloningEngine))["final"]["pairs"]
+    assert pairs == [["a", "b"], ["a", "c"], ["a.n", "d"]]
 
 
 # ---------------------------------------------------------------------------

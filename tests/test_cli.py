@@ -491,7 +491,17 @@ class TestCorpus:
         assert out.index("FAIL a_wide.oo (did not analyze)") < out.index("PASS b_clean.oo")
         assert "1 passed, 1 failed, 0 skipped" in out
 
-    @pytest.mark.parametrize("doc", ["{bad", "[]"])
+    @pytest.mark.parametrize("doc", [
+        "{bad",
+        "[]",
+        '{"final": []}',
+        '{"points": [5]}',
+        '{"points": [{"pairs": []}]}',
+        '{"final": {"pairs": [["a"]]}}',
+        '{"final": {"pairs": 5}}',
+        '{"final": {"pairs": [[["a"], "b"]]}}',
+        '{"entry": 5}',
+    ])
     def test_unreadable_expectation_fails_only_its_file(self, doc, tmp_path, capsys, monkeypatch):
         write(tmp_path, "a_clean.oo", CLEAN_SRC)
         (tmp_path / "a_clean.expected.json").write_text(doc)

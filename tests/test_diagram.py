@@ -1,5 +1,6 @@
 import doctest
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -349,6 +350,78 @@ def test_label_orders_and_hashes_as_its_fields():
         Label("b"),
     ]
     assert hash(Label("a", 1, 2)) == hash(("a", 1, 2))
+
+
+# -- change records ------------------------------------------------------------------
+
+
+def test_a_change_and_its_inverse_leave_an_empty_delta():
+    g, n0, n1, n2 = reference_graph()
+    delta = g.record()
+    assert g.add_edge(X, n0, n2) and g.remove_edge(X, n0, n2)
+    assert (delta.added, delta.removed) == (set(), set())
+    assert g.remove_edge(A, n0, n1) and g.add_edge(A, n0, n1)
+    assert (delta.added, delta.removed) == (set(), set())
+    # writes that change nothing note nothing
+    assert not g.add_edge(B, n1, n2) and not g.remove_edge(X, n1, n2)
+    assert (delta.added, delta.removed) == (set(), set())
+    g.rollback(delta)
+    g.check_invariants()
+
+
+edge_writes = st.lists(st.tuples(st.booleans(), st.sampled_from("abcxy"), st.integers(0, 5), st.integers(0, 5)), max_size=20)
+
+
+@given(diagrams(), edge_writes)
+@settings(max_examples=100)
+def test_rollback_restores_the_diagram_exactly(g, writes):
+    """A delta holds the net change of any run of writes, and rolling it
+    back restores both indexes and the edge set."""
+    out = {n: {l: set(ts) for l, ts in by_label.items()} for n, by_label in g._out.items()}
+    ins = {t: set(pairs) for t, pairs in g._in.items()}
+    before = g.edge_set()
+    delta = g.record()
+    for add, name, s, t in writes:
+        if s in g.nodes and t in g.nodes:
+            (g.add_edge if add else g.remove_edge)(Label(name), s, t)
+    after = g.edge_set()
+    assert (delta.added, delta.removed) == (after - before, before - after)
+    g.rollback(delta)
+    assert (g._out, g._in, g.edge_set()) == (out, ins, before)
+    g.check_invariants()
+
+
+def test_an_inner_rollback_leaves_the_outer_delta_as_it_was():
+    g, n0, n1, n2 = reference_graph()
+    outer = g.record()
+    g.add_edge(X, n0, n2)
+    inner = g.record()
+    g.add_edge(X, n1, n2)
+    g.remove_edge(X, n0, n2)
+    g.remove_edge(A, n0, n1)
+    assert (inner.added, inner.removed) == ({(X, n1, n2)}, {(X, n0, n2), (A, n0, n1)})
+    g.rollback(inner)
+    assert (outer.added, outer.removed) == ({(X, n0, n2)}, set())
+    assert g.edge_set() == reference_graph()[0].edge_set() | {(X, n0, n2)}
+    # later writes land in the outer delta again
+    g.remove_edge(B, n1, n2)
+    assert (outer.added, outer.removed) == ({(X, n0, n2)}, {(B, n1, n2)})
+    g.rollback(outer)
+    assert g.edge_set() == reference_graph()[0].edge_set()
+    g.check_invariants()
+
+
+def test_an_open_delta_breaks_the_invariants_and_closes_innermost_first():
+    g, *_ = reference_graph()
+    outer = g.record()
+    inner = g.record()
+    with pytest.raises(AssertionError, match="innermost"):
+        g.rollback(outer)
+    g.rollback(inner)
+    with pytest.raises(AssertionError, match="left open"):
+        g.check_invariants()
+    g.rollback(outer)
+    g.check_invariants()
 
 
 # -- documentation ------------------------------------------------------------------

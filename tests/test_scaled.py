@@ -15,10 +15,16 @@ its entry bounds the activation count well below that.  Each entry of
 ``frozen.json`` names its generator call.  Each program's sha256 is frozen with its pairs, so
 a changed copy fails instead of being checked against answers for
 another program.
+
+``answer_digests.py`` prints the same-answers digests a refactor is
+checked with; its run on the corpus is tested here so it cannot rot.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +50,25 @@ def test_scaled_program_keeps_its_frozen_pairs(entry):
         assert engine._next_act <= entry["max_activations"]
     got = build_report(engine)["final"]["pairs"]
     assert got == entry["pairs"]
+
+
+def test_answer_digests_print_one_stable_line_per_corpus_program():
+    """The script names each corpus program relative to the repository
+    root, and its digests do not depend on the hash seed."""
+    script = Path(__file__).resolve().parent / "answer_digests.py"
+    runs = [
+        subprocess.run(
+            [sys.executable, str(script), "corpus"],
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        ).stdout
+        for seed in ("0", "5")
+    ]
+    assert runs[0] == runs[1]
+    corpus = sorted(p.name for p in (SCALED_DIR.parent / "corpus").glob("*.oo"))
+    lines = [line.split() for line in runs[0].splitlines()]
+    assert [name for _, name in lines] == ["tests/corpus/" + name for name in corpus]
+    assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef") for digest, _ in lines)
