@@ -71,7 +71,7 @@ from aliasgraph.lang import (
     ClassTable,
     Compound,
     Create,
-    Diagnostic,
+    Diagnostics,
     Loop,
     Program,
     RoutineDecl,
@@ -142,8 +142,7 @@ class Engine:
         self.table = ClassTable(program)
         self.diagram = AliasDiagram()
         self.universe = build_expr_universe(program)
-        self.diagnostics: List[Diagnostic] = []
-        self._diag_seen = set()
+        self.diagnostics = Diagnostics(program.source)
         self.snapshots: Dict[str, Tuple[AliasDiagram, Dict[str, Label]]] = {}
         self.snapshot_order: List[str] = []
         # the outermost running fixpoint's scope; None outside fixpoints
@@ -158,13 +157,6 @@ class Engine:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-
-    def _diag(self, severity, message, pos=None):
-        key = (severity, message, pos)
-        if key in self._diag_seen:
-            return
-        self._diag_seen.add(key)
-        self.diagnostics.append(Diagnostic(severity, message, pos, self.program.source))
 
     def has_errors(self):
         return any(d.severity == "error" for d in self.diagnostics)
@@ -249,7 +241,7 @@ class Engine:
         skip = len(labels) - len(names)
         for i in range(1, len(names)):
             if not self.diagram.value_set(labels[: skip + i]):
-                self._diag(
+                self.diagnostics.add(
                     "warning",
                     "'%s' is definitely void here; '%s' has no value" % (".".join(names[:i]), ".".join(names)),
                     pos,
@@ -281,7 +273,7 @@ class Engine:
         prefix, attr = labels[:-1], labels[-1]
         owners_by_root = self.diagram.value_sets_by_root(prefix)
         if not any(owners_by_root.values()):
-            self._diag("warning", "assignment target '%s' is definitely void; no effect" % ".".join(target_names), pos)
+            self.diagnostics.add("warning", "assignment target '%s' is definitely void; no effect" % ".".join(target_names), pos)
             return
         classes: Dict[tuple, List[NodeId]] = {}
         for r in sorted(self.diagram.roots):
@@ -536,7 +528,7 @@ class Engine:
                 break
             seen.add(key)
         else:
-            self._diag("error", overflow_message, pos)
+            self.diagnostics.add("error", overflow_message, pos)
         if outermost:
             self.fixpoint = None
         self._restore_union(seen)
@@ -571,7 +563,7 @@ class Engine:
         pos = pos or call.pos
         versions, why = self.table.callees(frame.version, call)
         if why is not None:
-            self._diag("error", why, pos)
+            self.diagnostics.add("error", why, pos)
         elif call.target is None:
             self._call(versions[0], call, frame, None, assign_target, pos)
         else:
@@ -582,7 +574,7 @@ class Engine:
         # are read once, before dispatch
         receivers = self._read(call.target, frame, pos)
         if not any(receivers.values()):
-            self._diag("error", "call target '%s' is definitely void" % ".".join(call.target), pos)
+            self.diagnostics.add("error", "call target '%s' is definitely void" % ".".join(call.target), pos)
             return
         # dynamic binding: one branch per version the receiver may carry
         self._run_branches(id(call), [
@@ -722,7 +714,7 @@ class Engine:
         # no call may match the entry's context: nothing re-analyzes it
         frame = _Frame(version=version, context_key=None, act=0)
         if version.formals:
-            self._diag("warning", "entry routine %r has formals; they start unbound" % version.name, version.pos)
+            self.diagnostics.add("warning", "entry routine %r has formals; they start unbound" % version.name, version.pos)
         self.call_stack.append(frame)
         self.apply_compound(version.body, frame)
         # the entry scope deliberately stays bound: final reports speak

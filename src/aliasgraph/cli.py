@@ -29,19 +29,13 @@ from aliasgraph.query import (
 )
 
 
-def _color_on():
+def _say(text, code, file):
+    """Print text to file, coloured when file is a terminal;
+    ALIASGRAPH_COLOR=1 or 0 forces colour on or off."""
     env = os.environ.get("ALIASGRAPH_COLOR")
-    if env == "1":
-        return True
-    if env == "0":
-        return False
-    return sys.stderr.isatty()
-
-
-def _paint(text, code):
-    if _color_on():
-        return "\x1b[%sm%s\x1b[0m" % (code, text)
-    return text
+    if env == "1" or (env != "0" and file.isatty()):
+        text = "\x1b[%sm%s\x1b[0m" % (code, text)
+    print(text, file=file)
 
 
 _SEVERITY_COLORS = {"error": "31", "warning": "33", "note": "36"}
@@ -49,7 +43,7 @@ _SEVERITY_COLORS = {"error": "31", "warning": "33", "note": "36"}
 
 def _print_diagnostics(diags):
     for d in diags:
-        print(_paint(d.render(), _SEVERITY_COLORS.get(d.severity, "0")), file=sys.stderr)
+        _say(d.render(), _SEVERITY_COLORS.get(d.severity, "0"), sys.stderr)
 
 
 def _load(path, entry, config):
@@ -64,17 +58,17 @@ def _load(path, entry, config):
         engine = Engine(program, config)
         engine.analyze(entry)
     except (OSError, UnicodeDecodeError) as exc:
-        print(_paint("cannot read %s: %s" % (path, exc), "31"), file=sys.stderr)
+        _say("cannot read %s: %s" % (path, exc), "31", sys.stderr)
         return None, 2
     except ParseError as exc:
-        print(_paint(exc.diagnostic.render(), "31"), file=sys.stderr)
+        _say(exc.diagnostic.render(), "31", sys.stderr)
         return None, 2
     except AnalysisError as exc:
-        print(_paint(str(exc), "31"), file=sys.stderr)
+        _say(str(exc), "31", sys.stderr)
         return None, 2
     except RecursionError:
         # the parser and the analysis recurse on nested constructs and calls
-        print(_paint("%s: the program nests too deeply to analyze" % path, "31"), file=sys.stderr)
+        _say("%s: the program nests too deeply to analyze" % path, "31", sys.stderr)
         return None, 2
     return engine, 0
 
@@ -133,7 +127,7 @@ def _print_answers(args, engine, report, out):
             answers = query_alias(engine, AliasQuery(qtext, at=args.at))
             print("alias(%s) = {%s}" % (qtext, ", ".join(sorted(answers))), file=out)
     except QueryError as exc:
-        print(_paint(str(exc), "31"), file=sys.stderr)
+        _say(str(exc), "31", sys.stderr)
         return False
     return True
 
@@ -148,7 +142,7 @@ def _write(path, blob):
             with open(path, "wb") as fh:
                 fh.write(blob)
     except OSError as exc:
-        print(_paint("cannot write %s: %s" % (path, exc), "31"), file=sys.stderr)
+        _say("cannot write %s: %s" % (path, exc), "31", sys.stderr)
         return False
     return True
 
@@ -176,7 +170,7 @@ def run_corpus(args, config) -> int:
     """The `corpus` command: .oo files vs adjacent .expected.json."""
     root = args.dir
     if not os.path.isdir(root):
-        print(_paint("not a directory: %s" % root, "31"), file=sys.stderr)
+        _say("not a directory: %s" % root, "31", sys.stderr)
         return 2
     files = sorted(f for f in os.listdir(root) if f.endswith(".oo"))
     passed = failed = skipped = 0
@@ -197,12 +191,12 @@ def run_corpus(args, config) -> int:
             if not isinstance(entry, str):
                 raise ValueError("'entry' must be a string")
         except (OSError, ValueError) as exc:
-            print(_paint("FAIL %s (unreadable expectation: %s)" % (name, exc), "31"))
+            _say("FAIL %s (unreadable expectation: %s)" % (name, exc), "31", sys.stdout)
             failed += 1
             continue
         engine, rc = _load(oo_path, entry, config)
         if rc:
-            print(_paint("FAIL %s (did not analyze)" % name, "31"))
+            _say("FAIL %s (did not analyze)" % name, "31", sys.stdout)
             failed += 1
             continue
         got = _pairs_as_sets(build_report(engine))
@@ -215,12 +209,12 @@ def run_corpus(args, config) -> int:
             for p, q in sorted(extra):
                 diffs.append("%s: unexpected %s ~ %s" % (label, p, q))
         if diffs:
-            print(_paint("FAIL %s" % name, "31"))
+            _say("FAIL %s" % name, "31", sys.stdout)
             for d in diffs:
                 print("  " + d)
             failed += 1
         else:
-            print(_paint("PASS %s" % name, "32"))
+            _say("PASS %s" % name, "32", sys.stdout)
             passed += 1
     print("%d passed, %d failed, %d skipped" % (passed, failed, skipped))
     return 1 if failed else 0

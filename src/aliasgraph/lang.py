@@ -5,21 +5,23 @@ assignment, object creation, sequencing, conditionals, non-deterministic
 choice, condition-blind loops, and unqualified/qualified calls over a
 single-inheritance class system with routine redefinition.
 
-Concrete grammar (keyword-driven; newlines and ';' are insignificant):
+Concrete grammar (keyword-driven; newlines are insignificant, and so are
+the ';'s that may separate instructions, members, routines and decls, at
+most one after each formal decl):
 
-    program   ::=  (class_decl | routine_decl)*
+    program   ::=  (class_decl | routine)*
     class_decl::=  "class" NAME ["inherit" NAME ["redefine" names "end"]]
-                   "feature" (attr_decl | routine_decl)* "end"
-    attr_decl ::=  names ":" NAME
-    routine   ::=  NAME ["(" params ")"] [":" NAME] ["local" decl*] "do" body "end"
-    params    ::=  names ":" NAME (";" names ":" NAME)*
+                   "feature" (decl | routine)* "end"
+    decl      ::=  names ":" NAME     -- attributes, formals and locals
+    names     ::=  NAME {"," NAME}
+    routine   ::=  NAME ["(" {decl [";"]} ")"] [":" NAME] ["local" decl*] "do" body "end"
     body      ::=  instr*
     instr     ::=  [NAME ":"] core          -- program-point label prefix
     core      ::=  "create" NAME
                 |  path ":=" ("Void" | path | call)
                 |  "if" cond "then" body
                    {"elseif" cond "then" body} ["else" body] "end"
-                |  "then" body {"else" body} "end"       -- free choice
+                |  "then" body "else" body {"else" body} "end"  -- free choice
                 |  "loop" body ["until" cond] "end"
                 |  "skip"
                 |  call                                   -- as a statement
@@ -28,7 +30,8 @@ Concrete grammar (keyword-driven; newlines and ';' are insignificant):
     path      ::=  NAME {"." NAME}           -- Current allowed as first name
     call      ::=  path ["(" [operand {"," operand}] ")"]
 
-Branching has one form.  An `if` parses into a `Choice` of guarded
+One class, one formal list or one local list declares a name at most
+once.  Branching has one form.  An `if` parses into a `Choice` of guarded
 branches, (condition, body) pairs: each arm keeps its own condition, and
 the else (an empty body when absent) is guarded by the negation of the
 last condition.  A free choice is the same node with every guard None.
@@ -92,10 +95,28 @@ class Diagnostic:
         return "%s: %s: %s" % (where, self.severity, self.message)
 
 
+class Diagnostics(list):
+    """The diagnostics of one program, in the order first reported, each
+    (severity, message, pos) once: an if's else guard repeats its last
+    condition, a path can be checked more than once, and a fixpoint
+    repeats its passes."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+        self._seen = set()
+
+    def add(self, severity, message, pos=None):
+        key = (severity, message, pos)
+        if key not in self._seen:
+            self._seen.add(key)
+            self.append(Diagnostic(severity, message, pos, self.source))
+
+
 class ParseError(Exception):
-    def __init__(self, diagnostic):
-        super().__init__(diagnostic.render())
-        self.diagnostic = diagnostic
+    def __init__(self, message, pos, source):
+        self.diagnostic = Diagnostic("error", message, pos, source)
+        super().__init__(self.diagnostic.render())
 
 
 def tokenize(text, source="<input>"):
@@ -114,7 +135,7 @@ def tokenize(text, source="<input>"):
             lexeme = m[kind]
             col = m.end() - len(lexeme) - line_start + 1
             if kind == "bad":
-                raise ParseError(Diagnostic("error", "unexpected character %r" % lexeme, Pos(line, col), source))
+                raise ParseError("unexpected character %r" % lexeme, Pos(line, col), source)
             tokens.append((kind, lexeme, line, col))
     tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
@@ -250,13 +271,14 @@ class _Parser:
         self.i = 0
 
     # -- token plumbing.  Only eof has the empty text: no caller asks
-    # at() for it, and advance() follows a check that passed.
+    # at() for it, and advance() follows a check that passed.  A caller
+    # looks ``ahead`` only past tokens it has seen are not eof.
 
-    def at(self, text):
-        return self.tokens[self.i][1] == text
+    def at(self, text, ahead=0):
+        return self.tokens[self.i + ahead][1] == text
 
-    def at_name(self):
-        kind, text, _, _ = self.tokens[self.i]
+    def at_name(self, ahead=0):
+        kind, text, _, _ = self.tokens[self.i + ahead]
         return kind == "name" and text not in KEYWORDS
 
     def pos(self):
@@ -286,14 +308,31 @@ class _Parser:
             found.append(self.expect_name(more or what))
         return found
 
-    def fail(self, message):
-        return ParseError(Diagnostic("error", message, self.pos(), self.source))
+    def declare(self, into, name, duplicate, others=(), first=None):
+        """names ":" TYPE, the one shape of attribute, formal and local
+        declarations: puts each name into the dict ``into`` with its
+        type.  ``name`` says what each name is ("a local name"), and
+        ``first`` what the first one is when that differs.  A name
+        already in ``into`` or ``others`` fails with ``duplicate`` (a
+        message with one %r) after the type."""
+        names = self.names(first or name, name)
+        self.expect(":", "after %s(s)" % name.split(" ", 1)[1])
+        type_name = self.expect_name("a type name")
+        for n in names:
+            if n in into or n in others:
+                raise self.fail(duplicate % n)
+            into[n] = type_name
+
+    def fail(self, message, pos=None):
+        """The parse error to raise: message at pos, by default at the
+        current token."""
+        return ParseError(message, pos or self.pos(), self.source)
 
     def skip_semis(self):
         while self.tokens[self.i][1] == ";":
             self.i += 1
 
-    # -- grammar: program ::= (class_decl | routine_decl)*
+    # -- grammar: program ::= (class_decl | routine)*
 
     def parse_program(self):
         prog = Program(source=self.source)
@@ -302,12 +341,12 @@ class _Parser:
             if self.at("class"):
                 c = self.parse_class()
                 if c.name in prog.classes:
-                    raise ParseError(Diagnostic("error", "duplicate class %r" % c.name, c.pos, self.source))
+                    raise self.fail("duplicate class %r" % c.name, c.pos)
                 prog.classes[c.name] = c
             elif self.at_name():
                 r = self.parse_routine(owner=None)
                 if r.name in prog.routines:
-                    raise ParseError(Diagnostic("error", "duplicate routine %r" % r.name, r.pos, self.source))
+                    raise self.fail("duplicate routine %r" % r.name, r.pos)
                 prog.routines[r.name] = r
             else:
                 raise self.fail("expected a class or routine declaration, found %r" % self.tokens[self.i][1])
@@ -336,72 +375,44 @@ class _Parser:
         self.expect("end", "closing class %r" % name)
         return decl
 
-    # A member is an attribute (names ":" TYPE) or a routine.  Both start
-    # with a name; the routine forms are told apart by what follows:
-    # '(' opens formals, and "do"/"local", or ':' TYPE then "do"/"local",
-    # mean a body follows.
+    # A member is a routine when its name is followed by '(', "do" or
+    # "local", or by ':' TYPE and then "do" or "local" (a function), and
+    # a declaration of attributes otherwise.
 
     def parse_member(self, decl):
-        start = self.i
-        names = self.names("an attribute or routine name", "an attribute name")
-        if len(names) == 1:
-            if self.at("(") or self.at("do") or self.at("local"):
-                self.i = start
-                r = self.parse_routine(owner=decl.name)
-                self._declare_routine(decl, r)
-                return
-            if self.at(":"):
-                # could still be `name : TYPE do` (a function)
-                save = self.i
-                self.advance()
-                self.expect_name("a type name")
-                if self.at("do") or self.at("local"):
-                    self.i = start
-                    r = self.parse_routine(owner=decl.name)
-                    self._declare_routine(decl, r)
-                    return
-                self.i = save
-        self.expect(":", "after attribute name(s)")
-        type_name = self.expect_name("a type name")
-        for n in names:
-            if n in decl.attrs or n in decl.routines:
-                raise self.fail("duplicate declaration of %r in class %r" % (n, decl.name))
-            decl.attrs[n] = type_name
+        duplicate = "duplicate declaration of %%r in class %r" % decl.name
+        after = self.at_name() and self.tokens[self.i + 1][1]
+        if after in ("(", "do", "local") or (
+            after == ":" and self.at_name(2) and self.tokens[self.i + 3][1] in ("do", "local")
+        ):
+            r = self.parse_routine(owner=decl.name)
+            if r.name in decl.routines or r.name in decl.attrs:
+                raise self.fail(duplicate % r.name, r.pos)
+            decl.routines[r.name] = r
+        else:
+            self.declare(decl.attrs, "an attribute name", duplicate, decl.routines, "an attribute or routine name")
 
-    def _declare_routine(self, decl, r):
-        if r.name in decl.routines or r.name in decl.attrs:
-            raise ParseError(Diagnostic("error", "duplicate declaration of %r in class %r" % (r.name, decl.name), r.pos, self.source))
-        decl.routines[r.name] = r
-
-    # -- routine ::= NAME ["(" params ")"] [":" TYPE] ["local" decls] "do" body "end"
+    # -- routine ::= NAME ["(" {decl [";"]} ")"] [":" TYPE] ["local" decl*] "do" body "end"
 
     def parse_routine(self, owner):
         pos = self.pos()
         r = RoutineDecl(name=self.expect_name("a routine name"), owner=owner, pos=pos)
         if self.at("("):
             self.advance()
+            formals = {}
             while not self.at(")"):
-                names = self.names("a formal name")
-                self.expect(":", "after formal name(s)")
-                type_name = self.expect_name("a type name")
-                for n in names:
-                    r.formals.append((n, type_name))
+                self.declare(formals, "a formal name", "duplicate formal %r")
                 if self.at(";"):
                     self.advance()
-            self.expect(")")
+            self.advance()
+            r.formals = list(formals.items())
         if self.at(":"):
             self.advance()
             r.result_type = self.expect_name("a result type")
         if self.at("local"):
             self.advance()
             while self.at_name():
-                names = self.names("a local name")
-                self.expect(":", "after local name(s)")
-                type_name = self.expect_name("a type name")
-                for n in names:
-                    if n in r.locals:
-                        raise self.fail("duplicate local %r" % n)
-                    r.locals[n] = type_name
+                self.declare(r.locals, "a local name", "duplicate local %r")
                 self.skip_semis()
         self.expect("do", "starting the routine body")
         r.body = self.parse_body(("end",))
@@ -422,7 +433,7 @@ class _Parser:
         point = None
         # a label is NAME ':' not followed by '=' (which would be ':=',
         # already one token) and not a declaration context
-        if self.at_name() and self.tokens[self.i + 1][1] == ":":
+        if self.at_name() and self.at(":", 1):
             point = self.advance()
             self.advance()
         instr = self.parse_core()
@@ -440,9 +451,7 @@ class _Parser:
             if not self.at_name():
                 raise self.fail("expected a variable name after 'create'")
             return Create(target=self.advance(), pos=pos)
-        if text == "if":
-            return self.parse_if(pos)
-        if text == "then":
+        if text in ("if", "then"):
             return self.parse_choice(pos)
         if text == "loop":
             return self.parse_loop(pos)
@@ -454,41 +463,36 @@ class _Parser:
             return CallInstr(call=self.parse_call(path, pos), pos=pos)
         raise self.fail("expected an instruction, found %r" % (text or "end of input"))
 
-    # -- "if" parses straight into a choice of guarded branches.  Each
-    # arm keeps its own condition only, and the else (a skip when absent)
-    # is guarded by the negation of the last one.  Dropping the earlier
-    # arms' negations from later guards can only add executions, which
-    # is safe for a may-analysis.
-
-    def parse_if(self, pos):
-        self.advance()
-        cond = self.parse_cond()
-        self.expect("then")
-        branches = [(cond, self.parse_body(("elseif", "else", "end")))]
-        while self.at("elseif"):
-            self.advance()
-            cond = self.parse_cond()
-            self.expect("then")
-            branches.append((cond, self.parse_body(("elseif", "else", "end"))))
-        else_body = Compound(pos=pos)
-        if self.at("else"):
-            self.advance()
-            else_body = self.parse_body(("end",))
-        self.expect("end", "closing the if")
-        branches.append((replace(cond, negated=not cond.negated), else_body))
-        return Choice(branches=branches, pos=pos)
-
-    # -- "then" body {"else" body} "end": free (condition-less) choice
+    # -- Both choices, in one rule: an "if" opens its first arm and
+    # "elseif" each later one, a free choice "then" its first arm and
+    # "else" each later one.  An "if" parses straight into a choice of
+    # guarded branches.  Each arm keeps its own condition only, and the
+    # else (a skip when absent) is guarded by the negation of the last
+    # one.  Dropping the earlier arms' negations from later guards can
+    # only add executions, which is safe for a may-analysis.  The rule
+    # calls parse_body itself: a helper between them would cost one
+    # more Python frame per nesting level.
 
     def parse_choice(self, pos):
-        self.advance()
-        branches = [(None, self.parse_body(("else", "end")))]
-        while self.at("else"):
+        guarded = self.at("if")
+        arm = "elseif" if guarded else "else"
+        branches = []
+        while not branches or self.at(arm):
             self.advance()
-            branches.append((None, self.parse_body(("else", "end"))))
-        self.expect("end", "closing the choice")
+            cond = None
+            if guarded:
+                cond = self.parse_cond()
+                self.expect("then")
+            branches.append((cond, self.parse_body((arm, "else", "end"))))
+        if guarded:
+            else_body = Compound(pos=pos)
+            if self.at("else"):
+                self.advance()
+                else_body = self.parse_body(("end",))
+            branches.append((replace(cond, negated=not cond.negated), else_body))
+        self.expect("end", "closing the if" if guarded else "closing the choice")
         if len(branches) < 2:
-            raise ParseError(Diagnostic("error", "a choice needs at least two branches", pos, self.source))
+            raise self.fail("a choice needs at least two branches", pos)
         return Choice(branches=branches, pos=pos)
 
     def parse_loop(self, pos):
@@ -512,17 +516,18 @@ class _Parser:
         """call ::= path ["(" [operand {"," operand}] ")"], after its path."""
         # `Current` alone names no routine
         if not path:
-            raise ParseError(Diagnostic("error", "expected a routine name to call, found 'Current'", pos, self.source))
+            raise self.fail("expected a routine name to call, found 'Current'", pos)
         call = CallExpr(target=path[:-1] or None, name=path[-1], pos=pos)
         if self.at("("):
             self.advance()
-            while not self.at(")"):
+            if not self.at(")"):
                 call.actuals.append(self.parse_operand())
-                if self.at(","):
+                while self.at(","):
                     self.advance()
-                elif not self.at(")"):
+                    call.actuals.append(self.parse_operand())
+                if not self.at(")"):
                     raise self.fail("expected ',' or ')' in the argument list")
-            self.expect(")")
+            self.advance()
         return call
 
     def parse_operand(self):
@@ -589,18 +594,23 @@ class ClassTable:
             cname = self.classes[cname].parent
         return chain
 
-    def find_attr(self, cname, attr):
+    def _nearest(self, cname, members, name):
+        """The nearest class's entry for name among its ``members``
+        ("attrs" or "routines"), from cname up its parents; None when
+        no class there declares one."""
         for c in self.ancestry(cname):
-            if attr in self.classes[c].attrs:
-                return self.classes[c].attrs[attr]
+            found = getattr(self.classes[c], members).get(name)
+            if found is not None:
+                return found
         return None
+
+    def find_attr(self, cname, attr):
+        """The type of attr visible on cname, walking up the parents."""
+        return self._nearest(cname, "attrs", attr)
 
     def find_routine(self, cname, rname):
         """The version of rname visible on cname, walking up the parents."""
-        for c in self.ancestry(cname):
-            if rname in self.classes[c].routines:
-                return self.classes[c].routines[rname]
-        return None
+        return self._nearest(cname, "routines", rname)
 
     def descendants(self, cname):
         """Proper descendants in deterministic order: by distance, then name.
@@ -706,22 +716,7 @@ class Resolver:
     def __init__(self, program):
         self.program = program
         self.table = ClassTable(program)
-        self.diagnostics = []
-        self._seen = set()
-
-    def _report(self, severity, message, pos):
-        # once per (severity, message, pos): an if's else guard repeats
-        # its last condition, and a path can be checked more than once
-        d = Diagnostic(severity, message, pos, self.program.source)
-        if d not in self._seen:
-            self._seen.add(d)
-            self.diagnostics.append(d)
-
-    def error(self, message, pos=None):
-        self._report("error", message, pos)
-
-    def warning(self, message, pos=None):
-        self._report("warning", message, pos)
+        self.diagnostics = Diagnostics(program.source)
 
     def run(self):
         self.check_inheritance()
@@ -733,15 +728,15 @@ class Resolver:
         for c in self.program.classes.values():
             # on a cycle exactly when its parent's ancestry leads back to it
             if c.name in self.table.ancestry(c.parent):
-                self.error("inheritance cycle through class %r" % c.name, c.pos)
+                self.diagnostics.add("error", "inheritance cycle through class %r" % c.name, c.pos)
             if c.parent is not None and c.parent not in self.program.classes:
-                self.error("class %r inherits unknown class %r" % (c.name, c.parent), c.pos)
+                self.diagnostics.add("error", "class %r inherits unknown class %r" % (c.name, c.parent), c.pos)
             for rname in c.redefines:
                 parent_version = self.table.find_routine(c.parent, rname) if c.parent else None
                 if parent_version is None:
-                    self.error("class %r redefines %r, which no ancestor declares" % (c.name, rname), c.pos)
+                    self.diagnostics.add("error", "class %r redefines %r, which no ancestor declares" % (c.name, rname), c.pos)
                 elif rname not in c.routines:
-                    self.error("class %r lists %r under redefine but gives no body" % (c.name, rname), c.pos)
+                    self.diagnostics.add("error", "class %r lists %r under redefine but gives no body" % (c.name, rname), c.pos)
 
     # -- per-routine checks
 
@@ -750,16 +745,16 @@ class Resolver:
         formals = set(routine.formal_names())
         for n in routine.locals:
             if n in formals:
-                self.error("local %r of %r collides with a formal" % (n, routine.name), routine.pos)
+                self.diagnostics.add("error", "local %r of %r collides with a formal" % (n, routine.name), routine.pos)
         if routine.owner is not None:
             for n in types:
                 if n != "Result" and self.table.find_attr(routine.owner, n) is not None:
-                    self.error("%r in routine %r hides an attribute of class %r" % (n, routine.name, routine.owner), routine.pos)
+                    self.diagnostics.add("error", "%r in routine %r hides an attribute of class %r" % (n, routine.name, routine.owner), routine.pos)
         points = set()
         for instr in _walk_instrs(routine.body):
             if instr.point is not None:
                 if instr.point in points:
-                    self.error("duplicate program point %r in %r" % (instr.point, routine.name), instr.pos)
+                    self.diagnostics.add("error", "duplicate program point %r in %r" % (instr.point, routine.name), instr.pos)
                 points.add(instr.point)
             self.check_instr(instr, routine, formals)
 
@@ -773,16 +768,16 @@ class Resolver:
         elif isinstance(instr, Create):
             name = instr.target
             if name in formals:
-                self.error("cannot create into formal %r" % name, instr.pos)
+                self.diagnostics.add("error", "cannot create into formal %r" % name, instr.pos)
             elif self.table.path_type(routine, (name,))[1] is not None:
-                self.error("unknown variable %r in create" % name, instr.pos)
+                self.diagnostics.add("error", "unknown variable %r in create" % name, instr.pos)
         elif isinstance(instr, Choice):
             for c, _ in instr.branches:
                 if c is not None:
                     self.check_cond(c, routine)
         elif isinstance(instr, Loop):
             if instr.until is not None:
-                self.warning("loop exit condition is ignored by the analysis", instr.pos)
+                self.diagnostics.add("warning", "loop exit condition is ignored by the analysis", instr.pos)
                 self.check_cond(instr.until, routine)
         elif isinstance(instr, CallInstr):
             self.check_call(instr.call, routine)
@@ -794,27 +789,28 @@ class Resolver:
 
     def check_target(self, path, routine, formals, pos):
         if len(path) == 0:
-            self.error("cannot assign to Current", pos)
+            self.diagnostics.add("error", "cannot assign to Current", pos)
             return
         if len(path) == 1 and path[0] in formals:
-            self.error("formals are read-only; cannot assign to %r" % path[0], pos)
+            self.diagnostics.add("error", "formals are read-only; cannot assign to %r" % path[0], pos)
             return
         self.check_path(path, routine, pos)
 
     def check_path(self, path, routine, pos):
         why = self.table.path_type(routine, path)[1]
         if why is not None:
-            self.error(why, pos)
+            self.diagnostics.add("error", why, pos)
 
     def check_call(self, call, routine):
         versions, why = self.table.callees(routine, call)
         if why is not None:
-            self.error(why, call.pos)
+            self.diagnostics.add("error", why, call.pos)
         for a in call.actuals:
             if a is not None:
                 self.check_path(a, routine, call.pos)
         if versions is not None and len(call.actuals) != len(versions[0].formals):
-            self.error(
+            self.diagnostics.add(
+                "error",
                 "call to %r passes %d argument(s), expected %d"
                 % (call.name, len(call.actuals), len(versions[0].formals)),
                 call.pos,

@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import os
 import subprocess
@@ -233,6 +234,25 @@ DIAGNOSTICS = [
     ("analyze", NO_POINTS_SRC, "Z.run", ["unknown class 'Z' in entry 'Z.run'"]),
     ("analyze", NO_POINTS_SRC, "C.go", ["class 'C' has no routine 'go'"]),
     ("cli", NO_POINTS_SRC, "C.run", ["exit 1", "unknown program point 'L2' (recorded: none)"]),
+    # entries are only ever appended: a case's test id ends in its index
+    ("parse", "class C feature f do skip end f: C end", None, ["<input>:1:36: error: duplicate declaration of 'f' in class 'C'"]),
+    ("parse", "class C feature f do skip end f do skip end end", None,
+     ["<input>:1:31: error: duplicate declaration of 'f' in class 'C'"]),
+    ("parse", "class C feature a C end", None, ["<input>:1:19: error: expected ':' (after attribute name(s)), found 'C'"]),
+    ("parse", "f (x C) do skip end", None, ["<input>:1:6: error: expected ':' (after formal name(s)), found 'C'"]),
+    ("parse", "main local x C do skip end", None, ["<input>:1:14: error: expected ':' (after local name(s)), found 'C'"]),
+    ("parse", "f (x, x: C) do skip end", None, ["<input>:1:11: error: duplicate formal 'x'"]),
+    ("parse", "f (x: C; x: C) do skip end", None, ["<input>:1:14: error: duplicate formal 'x'"]),
+    ("parse", "class C feature a: end", None, ["<input>:1:20: error: expected a type name, found 'end'"]),
+    ("parse", "class C feature a:", None, ["<input>:1:19: error: expected a type name, found 'end of input'"]),
+    ("parse", "f: do skip end", None, ["<input>:1:4: error: expected a result type, found 'do'"]),
+    ("parse", "main local x: C do if x = x then skip", None,
+     ["<input>:1:38: error: expected 'end' (closing the if), found 'end of input'"]),
+    ("parse", "main do then skip else skip", None,
+     ["<input>:1:28: error: expected 'end' (closing the choice), found 'end of input'"]),
+    ("parse", "main do then skip end end", None, ["<input>:1:9: error: a choice needs at least two branches"]),
+    ("parse", "main local x: C do f (x x) end", None, ["<input>:1:25: error: expected ',' or ')' in the argument list"]),
+    ("parse", "main local x: C do f (x,) end", None, ["<input>:1:25: error: expected a name, found ')'"]),
 ]
 
 
@@ -415,6 +435,42 @@ def test_color_env_controls_ansi(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ALIASGRAPH_COLOR", "0")
     main(["analyze", path])
     assert "\x1b[" not in capsys.readouterr().err
+
+
+class _Stream(io.StringIO):
+    """A captured output stream that says whether it is a terminal."""
+
+    def __init__(self, tty):
+        super().__init__()
+        self.tty = tty
+
+    def isatty(self):
+        return self.tty
+
+
+@pytest.mark.parametrize("env, ttys, coloured", [
+    (None, (False, True), (False, True)),
+    (None, (True, False), (True, False)),
+    ("1", (False, False), (True, True)),
+    ("0", (True, True), (False, False)),
+], ids=["stderr-tty", "stdout-tty", "forced-on", "forced-off"])
+def test_each_stream_is_coloured_by_its_own_terminal(env, ttys, coloured, tmp_path, monkeypatch):
+    """`corpus` prints PASS and FAIL to stdout and a parse error to
+    stderr; each is coloured when its own stream is a terminal."""
+    write(tmp_path, "a_bad.oo", BAD_SYNTAX_SRC)
+    (tmp_path / "a_bad.expected.json").write_text('{"final": {"pairs": []}}')
+    _freeze_expectation(tmp_path, "b_clean.oo", CLEAN_SRC, monkeypatch)
+    if env is None:
+        monkeypatch.delenv("ALIASGRAPH_COLOR")
+    else:
+        monkeypatch.setenv("ALIASGRAPH_COLOR", env)
+    out, err = _Stream(ttys[0]), _Stream(ttys[1])
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert ("\x1b[31mFAIL a_bad.oo" in out.getvalue(), "\x1b[32mPASS b_clean.oo" in out.getvalue()) == (coloured[0],) * 2
+    assert ("\x1b[" in out.getvalue(), "\x1b[" in err.getvalue()) == coloured
+    assert "error: expected" in err.getvalue()
 
 
 def _freeze_expectation(tmp_path, name, src, monkeypatch):
