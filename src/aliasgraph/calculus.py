@@ -24,12 +24,16 @@ The engine walks a routine body and rewrites one shared diagram in place:
 Choice handling never copies whole diagrams.  Each branch runs against
 the shared diagram while the diagram records the branch's net added and
 removed edges (``AliasDiagram.record``); the branch is then rolled back,
-and its new roots are the ones the root set gained.  Replay applies
-branch one in place and, for every further branch, re-keys its delta
-onto fresh clones of the roots (and of any other touched node), first
-copying onto those clones the restored state's edges they lack.  Nodes
-untouched by any branch stay shared between the worlds, which is what
-keeps the representation small.
+and its new roots are the ones the root set gained.  Branch one stays
+in place; every further branch gets fresh clones of the roots (and of
+any other touched node).  Replay then reads, off the restored state and
+before any write, every edge each clone takes from its original: the
+out-edges re-targeted into the clone's world and the in-edges of
+unmapped parents.  Only then does it write: those edges, then branch
+one's delta in place and every further delta re-keyed onto its clones,
+so no world's clone copies another world's wiring.  Nodes untouched by
+any branch stay shared between the worlds, which is what keeps the
+representation small.
 
 Termination of loop and recursion fixpoints rests on three policies:
 iteration stops when the live state repeats (the step is deterministic,
@@ -62,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from aliasgraph.diagram import AliasDiagram, Delta, Label, NodeId, label_path
+from aliasgraph.diagram import AliasDiagram, Label, NodeId, label_path
 from aliasgraph.lang import (
     Assign,
     CallExpr,
@@ -416,56 +420,45 @@ class Engine:
         g = self.diagram
         pre_roots = set(g.roots)
         watermark = g._next_id
-        deltas: List[Delta] = []
-        new_roots: List[Set[NodeId]] = []
+        runs = []  # per branch: its delta, its new roots, the older nodes it touched
         for thunk in live:
-            deltas.append(g.record())
+            delta = g.record()
             thunk()
             # roll back: the next branch starts from the same state, and
             # replay below re-applies the net effects and the new roots
-            g.rollback(deltas[-1])
+            g.rollback(delta)
             assert pre_roots <= g.roots, "a branch removed a root"
-            new_roots.append(g.roots - pre_roots)
+            touched = {s for (_, s, _) in delta.added | delta.removed if s < watermark}
+            runs.append((delta, g.roots - pre_roots, touched))
             g.roots &= pre_roots
 
-        touched_first = {s for (_, s, _) in deltas[0].added | deltas[0].removed}
-        mappings: List[Dict[NodeId, NodeId]] = []
-        for b, delta in enumerate(deltas[1:], 1):
-            touched = {s for (_, s, _) in delta.added | delta.removed}
-            clone_sources = pre_roots | {s for s in (touched | touched_first) if s < watermark}
-            # sorted: clones are allocated in this order
-            mappings.append({orig: self._branch_clone(site, b, orig) for orig in sorted(clone_sources)})
-
-        # copy the restored state onto the clones before any branch
-        # effect lands; clone-to-clone references stay inside the world
-        for mapping in mappings:
-            for orig, copy in mapping.items():
-                if copy != orig:
-                    self._copy_onto_clone(orig, copy, mapping)
-
-        # branch one applies in place, the rest through their mappings
-        for delta, roots, mapping in zip(deltas, new_roots, [{}] + mappings):
+        # branch one stays in place; each other branch forks the roots and
+        # every older node it or branch one touched, cloned in sorted order
+        mappings = [{}] + [
+            {orig: self._branch_clone(site, b, orig) for orig in sorted(pre_roots | touched | runs[0][2])}
+            for b, (_, _, touched) in enumerate(runs[1:], 1)
+        ]
+        # read every clone's wiring off the restored state before any
+        # write: its original's out-edges re-targeted into its world, and
+        # the in-edges of unmapped parents, so that effects behind a
+        # shared node reach every world's version
+        wiring = [
+            edge
+            for mapping in mappings
+            for orig, copy in mapping.items()
+            if copy != orig
+            for edge in [(l, copy, mapping.get(t, t)) for l, t in g.out_edges(orig)]
+            + [(l, s, copy) for l, s in g.in_edges(orig) if s not in mapping]
+        ]
+        # add_edge skips what a clone memoized by the fixpoint holds already
+        for edge in wiring:
+            g.add_edge(*edge)
+        for (delta, roots, _), mapping in zip(runs, mappings):
             for (l, s, t) in delta.added:
                 g.add_edge(l, mapping.get(s, s), mapping.get(t, t))
             for (l, s, t) in delta.removed:
                 g.remove_edge(l, mapping.get(s, s), mapping.get(t, t))
             g.roots.update(mapping.get(r, r) for r in roots)
-
-    def _copy_onto_clone(self, orig, copy, mapping):
-        """Give ``copy`` the edges of ``orig`` it lacks: its out-edges,
-        re-targeted through ``mapping``, and the in-edges of its unmapped
-        parents.  A clone memoized by the running fixpoint already holds
-        most of them from an earlier pass."""
-        g = self.diagram
-        for l, t in g.out_edges(orig):
-            t = mapping.get(t, t)
-            if t not in g.successors(copy, l):
-                g.add_edge(l, copy, t)
-        # unmapped parents must reach this world's version too,
-        # otherwise effects behind a shared node would be lost
-        for l, s in g.in_edges(orig):
-            if s not in mapping and copy not in g.successors(s, l):
-                g.add_edge(l, s, copy)
 
     def _branch_clone(self, site, b, orig):
         scope = self.fixpoint

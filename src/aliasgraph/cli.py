@@ -221,13 +221,14 @@ def run_corpus(args, config) -> int:
 
 
 def _build_parser():
+    defaults = AnalysisConfig()
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--entry", default="main", metavar="NAME",
                         help="entry routine: Class.routine or a top-level name (default: main)")
-    shared.add_argument("--cap", type=int, default=1, metavar="N",
-                        help="creation allowance per site per outermost fixpoint (default: 1)")
-    shared.add_argument("--max-iters", type=int, default=1000, metavar="N",
-                        help="fixpoint iteration ceiling (default: 1000)")
+    shared.add_argument("--cap", type=int, default=defaults.cap, metavar="N",
+                        help="creation allowance per site per outermost fixpoint (default: %(default)s)")
+    shared.add_argument("--max-iters", type=int, default=defaults.max_iters, metavar="N",
+                        help="fixpoint iteration ceiling (default: %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="aliasgraph",

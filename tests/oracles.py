@@ -25,19 +25,21 @@ from aliasgraph.query import resolve_path
 #   ("void", i)         vi := Void
 #   ("read", i, j)      vi := vj.n
 #   ("write", i, j)     vi.n := vj
-#   ("choice", a, b)    then <a> else <b> end
+#   ("choice", a, b, ...)  then <a> else <b> ... end, two arms or more
 
 
-def gen_program(seed):
-    """A random loop-free call-free program: (nvars, block)."""
+def gen_program(seed, arms=2):
+    """A random loop-free call-free program: (nvars, block).  Each choice
+    has 2 to ``arms`` arms; with ``arms=2`` a seed gives the same program
+    as it always has."""
     rng = random.Random(seed)
     nv = rng.randint(3, 6)
     budget = rng.randint(6, 12)
-    block, _ = _gen_block(rng, nv, budget, 0)
+    block, _ = _gen_block(rng, nv, budget, 0, arms)
     return nv, block
 
 
-def _gen_block(rng, nv, budget, depth):
+def _gen_block(rng, nv, budget, depth, arms):
     block, used = [], 0
     while used < budget:
         left = budget - used
@@ -63,12 +65,15 @@ def _gen_block(rng, nv, budget, depth):
             block.append(("write", i, j))
             used += 1
         else:
-            na = rng.randint(1, min(3, left - 2))
-            nb = rng.randint(1, min(3, left - 1 - na))
-            a, ua = _gen_block(rng, nv, na, depth + 1)
-            b, ub = _gen_block(rng, nv, nb, depth + 1)
-            block.append(("choice", a, b))
-            used += ua + ub
+            # each arm takes 1 to 3 of the budget and leaves at least 1
+            # for every arm after it; a width is drawn only past two arms
+            width = rng.randint(2, min(arms, left - 1)) if arms > 2 else 2
+            sizes = []
+            for i in range(width):
+                sizes.append(rng.randint(1, min(3, left - 1 - sum(sizes) - (width - 1 - i))))
+            blocks = [_gen_block(rng, nv, n, depth + 1, arms) for n in sizes]
+            block.append(("choice",) + tuple(b for b, _ in blocks))
+            used += sum(u for _, u in blocks)
     return block, used
 
 
@@ -196,10 +201,9 @@ def _render_block(block, lines, indent):
         elif op[0] == "write":
             lines.append(pad + "v%d.n := v%d" % (op[1], op[2]))
         else:
-            lines.append(pad + "then")
-            _render_block(op[1], lines, indent + 1)
-            lines.append(pad + "else")
-            _render_block(op[2], lines, indent + 1)
+            for word, arm in zip(["then"] + ["else"] * (len(op) - 2), op[1:]):
+                lines.append(pad + word)
+                _render_block(arm, lines, indent + 1)
             lines.append(pad + "end")
 
 
@@ -221,7 +225,7 @@ def concrete_alias_pairs(nv, block):
             kind = op[0]
             if kind == "choice":
                 rest = ops[at + 1:]
-                for branch in (op[1], op[2]):
+                for branch in op[1:]:
                     walk(branch + rest, list(env), {o: dict(f) for o, f in heap.items()})
                 return
             if kind == "create":

@@ -120,21 +120,23 @@ def test_later_call_site_wins_over_earlier_one():
 
 
 def test_branch_replay_agrees_with_naive_cloning_on_random_programs():
+    # two-arm choices, then choices of up to four arms
     checked = 0
-    for seed in range(24):
-        nv, block = oracles.gen_program(seed)
-        source = oracles.render(nv, block)
-        names = oracles.observed_names(nv)
-        answers = {
-            mode: _names_at(run(source, engine=engine), names)
-            for mode, engine in (("replay", Engine), ("clone", oracles.CloningEngine))
-        }
-        assert answers["replay"] == answers["clone"], (
-            "seed %d disagrees:\n%s\nreplay=%s\nclone=%s"
-            % (seed, source, answers["replay"], answers["clone"])
-        )
-        checked += 1
-    assert checked >= 20
+    for arms in (2, 4):
+        for seed in range(24):
+            nv, block = oracles.gen_program(seed, arms)
+            source = oracles.render(nv, block)
+            names = oracles.observed_names(nv)
+            answers = {
+                mode: _names_at(run(source, engine=engine), names)
+                for mode, engine in (("replay", Engine), ("clone", oracles.CloningEngine))
+            }
+            assert answers["replay"] == answers["clone"], (
+                "seed %d (arms %d) disagrees:\n%s\nreplay=%s\nclone=%s"
+                % (seed, arms, source, answers["replay"], answers["clone"])
+            )
+            checked += 1
+    assert checked >= 40
 
 
 def test_loop_rule_equals_explicit_iterated_union():
@@ -154,16 +156,17 @@ def test_loop_rule_equals_explicit_iterated_union():
 
 
 def test_every_concrete_alias_pair_is_predicted():
-    for seed in range(20):
-        nv, block = oracles.gen_program(seed)
-        source = oracles.render(nv, block)
-        engine = run(source)
-        predicted = set(_names_at(engine, oracles.observed_names(nv)))
-        actual = oracles.concrete_alias_pairs(nv, block)
-        missed = actual - predicted
-        assert not missed, (
-            "seed %d missed %s:\n%s" % (seed, sorted(missed), source)
-        )
+    for arms in (2, 4):
+        for seed in range(20):
+            nv, block = oracles.gen_program(seed, arms)
+            source = oracles.render(nv, block)
+            engine = run(source)
+            predicted = set(_names_at(engine, oracles.observed_names(nv)))
+            actual = oracles.concrete_alias_pairs(nv, block)
+            missed = actual - predicted
+            assert not missed, (
+                "seed %d (arms %d) missed %s:\n%s" % (seed, arms, sorted(missed), source)
+            )
 
 
 def test_whole_corpus_terminates_at_unit_cap(capsys, monkeypatch):
