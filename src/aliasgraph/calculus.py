@@ -11,9 +11,9 @@ The engine walks a routine body and rewrites one shared diagram in place:
   * loops iterate the body until the state revisits one already seen,
     then keep the union of all iteration-boundary states, so the result
     covers every iteration count including zero;
-  * calls bind formals to the actuals' value sets, taken once at the
-    call site in each world, analyze the callee body in a fresh
-    activation, then scope the callee's names back out.  A qualified
+  * calls bind formals once per activation, to the actuals' value sets
+    taken at the call site in each world, analyze the callee body in
+    that fresh activation, then scope its names back out.  A qualified
     call also binds the activation's ``Current`` from each root to that
     world's receivers, and the callee's field names resolve through it
     (the paper's rule makes the receivers the roots instead), so every
@@ -50,10 +50,10 @@ call's receivers are its caller's: the caller's ``Current`` label, or
 the root objects while that is unbound.  Which worlds exist is not part
 of the context, so a call made after a join still finds its own frame.
 When an identical context is already on the stack (or the per-routine
-unroll allowance runs out), the engine binds the receivers and actuals
-into that frame, returns its accumulated result values, and marks it
-dirty: when the dirty frame's own body finishes, it is re-analyzed to a
-fixpoint.
+unroll allowance runs out), the engine adds the receivers and actuals
+to that frame's bindings, returns its accumulated result values, and
+marks it dirty: when the dirty frame's own body finishes, it is
+re-analyzed to a fixpoint, on the bindings the diagram holds.
 
 A routine's names are edge labels tagged with its activation's depth on
 the call stack.  Live activations have distinct depths, and a returning
@@ -100,8 +100,8 @@ class AnalysisConfig:
 
 
 class AnalysisError(Exception):
-    """Raised when the entry names no routine: an unknown entry routine,
-    an unknown class, or a class without that routine."""
+    """Raised when the entry names no routine (an unknown routine or class,
+    or a class without that routine) or the program nests too deeply."""
 
 
 @dataclass
@@ -116,7 +116,7 @@ class _FixpointScope:
 
 @dataclass
 class _Frame:
-    """One activation on the analysis call stack."""
+    """One activation on the call stack.  Its formals are bound once, as it opens; cut-offs add to them."""
 
     version: RoutineDecl
     context_key: Optional[tuple]
@@ -124,9 +124,7 @@ class _Frame:
     # the ``Current`` fields resolve through: a qualified call's own,
     # else the caller's; None while the current object is the root
     current: Optional[Label] = None
-    # root -> values: the receivers (None: kept), then each actual's
-    bindings: List[Optional[Dict[NodeId, FrozenSet[NodeId]]]] = field(default_factory=list)
-    acc: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
+    acc: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)  # root -> results so far
     dirty: bool = False
     # the routine's own names, tagged with this activation
     scope: Dict[str, Label] = field(init=False)
@@ -583,8 +581,8 @@ class Engine:
     def _call_on_targets(self, version, call, frame, receivers, pos):
         """Analyze one routine version in every world: on each root's
         ``receivers``, or, for an unqualified call (None), on the
-        caller's current object.  Returns the per-root result value sets
-        (empty for procedures).
+        caller's current object.  Returns the frame's per-root result
+        value sets (empty for procedures), for the caller to read.
         """
         # each actual's values per world, taken once, here; a world whose
         # receiver is Void does not run the call: it binds nothing and
@@ -615,33 +613,32 @@ class Engine:
             context_key=context_key,
             act=act,
             current=current if receivers is None else Label("Current", act),
-            bindings=bindings,
         )
         self.call_stack.append(new_frame)
+        self._bind_formals(new_frame, bindings)
         self._frame_pass(new_frame)
         if new_frame.dirty:
             self._frame_fixpoint(new_frame)
-        result = {r: frozenset(vs) for r, vs in new_frame.acc.items()}
         self._unbind_activation(new_frame)
         self.call_stack.pop()
-        return result
+        return new_frame.acc
 
     def _recursive_cutoff(self, fr, current, bindings):
-        # an already-active context absorbs the call: feed it the new
-        # receivers and actuals (additively) and answer with what it has
-        # produced so far.  An unqualified call whose caller has another
-        # receiver than the frame brings that receiver along.
+        # an already-active context absorbs the call: add the new
+        # receivers and actuals to its bindings and answer with what it
+        # has produced so far.  An unqualified call whose caller has
+        # another receiver than the frame brings that receiver along.
         fr.dirty = True
         if bindings[0] is None and current != fr.current:
             bindings = [self.diagram.value_sets_by_root((current,))] + bindings[1:]
         self._bind_formals(fr, bindings)
-        return {r: frozenset(fr.acc.get(r, ())) for r in self.diagram.roots}
+        return fr.acc
 
-    def _bind_formals(self, fr, bindings=None):
-        # the receivers bind to the frame's ``Current``, the actuals to
-        # its formals; the values were taken at the call site, per root
+    def _bind_formals(self, fr, bindings):
+        # the receivers (None: kept) bind to ``Current``, the actuals to
+        # the formals, per root as the call site read them; edges only add
         names = ["Current"] + fr.version.formal_names()
-        for name, bound in zip(names, fr.bindings if bindings is None else bindings):
+        for name, bound in zip(names, bindings):
             if bound is None:
                 continue
             label = fr.scope[name]
@@ -650,9 +647,8 @@ class Engine:
                     self.diagram.add_edge(label, r, v)
 
     def _frame_pass(self, fr):
-        """Bind the frame's formals, run its body and add each world's
-        result to what the frame has returned so far."""
-        self._bind_formals(fr)
+        """Run the frame's body and add each world's result to what the
+        frame has returned so far."""
         self.apply_compound(fr.version.body, fr)
         if not fr.version.is_function():
             return
@@ -709,7 +705,10 @@ class Engine:
         if version.formals:
             self.diagnostics.add("warning", "entry routine %r has formals; they start unbound" % version.name, version.pos)
         self.call_stack.append(frame)
-        self.apply_compound(version.body, frame)
+        try:
+            self.apply_compound(version.body, frame)
+        except RecursionError:
+            raise AnalysisError("%s: the program nests too deeply to analyze" % self.program.source) from None
         # the entry scope deliberately stays bound: final reports speak
         # about its locals
         self.call_stack.pop()

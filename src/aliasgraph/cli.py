@@ -66,10 +66,6 @@ def _load(path, entry, config):
     except AnalysisError as exc:
         _say(str(exc), "31", sys.stderr)
         return None, 2
-    except RecursionError:
-        # the parser and the analysis recurse on nested constructs and calls
-        _say("%s: the program nests too deeply to analyze" % path, "31", sys.stderr)
-        return None, 2
     return engine, 0
 
 

@@ -561,9 +561,13 @@ class _Parser:
 
 
 def parse_program(text, source="<input>"):
-    """Parse source text into a Program.  Raises ParseError."""
+    """Parse source text into a Program.  Raises ParseError, also at the
+    token where the program nests past the parser's recursion."""
     parser = _Parser(tokenize(text, source), source)
-    return parser.parse_program()
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise parser.fail("the program nests too deeply to parse") from None
 
 
 def parse_file(path):

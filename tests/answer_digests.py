@@ -1,4 +1,4 @@
-"""Print one sha256 per program: the same-answers check for refactors.
+"""Print two sha256 digests per program: the same-answers check for refactors.
 
     python3 tests/answer_digests.py [SET ...]
 
@@ -6,16 +6,19 @@ The sets are ``corpus`` (``tests/corpus/``), ``scaled``
 (``tests/scaled/``), ``calls`` (the 200 programs of
 ``tests/calls/frozen.json``), and ``worlds`` and ``fixpoints`` (every
 program of those benchmark workloads at seeds 1 and 7); with no
-argument, all five, 619 programs.  Each line is ``DIGEST NAME``.  A
-digest covers the program's static diagnostics, its JSON report with
-and without point snapshots, the DOT drawing of the final diagram, and
-the final root, node, edge and activation counts.
+argument, all five, 619 programs.  Each line is ``ANSWERS SHAPE NAME``.
+The answers digest covers the program's static diagnostics and its JSON
+report with and without point snapshots.  The shape digest covers the
+DOT drawing of the final diagram and the final root, node, edge and
+activation counts: how the diagram holds those answers, which a change
+may alter while keeping every answer.
 
 A change that claims to keep every answer runs this at its parent and
 at itself, under two values of ``PYTHONHASHSEED``, and compares the
-output.  Program names are relative to the repository root, so two
-checkouts print the same lines.  Pytest does not collect this file;
-``tests/test_scaled.py`` runs it on the corpus.
+output: the answers digests must match, and every shape digest that
+differs wants a reason.  Program names are relative to the repository
+root, so two checkouts print the same lines.  Pytest does not collect
+this file; ``tests/test_scaled.py`` runs it on the corpus.
 """
 
 import hashlib
@@ -74,23 +77,24 @@ SETS = {
 }
 
 
-def answer_digest(name, text, entry):
-    """The sha256 of everything the analysis answers for one program."""
-    h = hashlib.sha256()
+def answer_digests(name, text, entry):
+    """The sha256 of everything the analysis answers for one program,
+    and the sha256 of the final diagram's shape."""
+    answers, shape = hashlib.sha256(), hashlib.sha256()
     program = parse_program(text, name)
     static = resolve(program)
-    h.update("".join(d.render() + "\n" for d in static).encode("utf-8"))
+    answers.update("".join(d.render() + "\n" for d in static).encode("utf-8"))
     if any(d.severity == "error" for d in static):
-        return h.hexdigest()
+        return answers.hexdigest(), shape.hexdigest()
     for points in (True, False):
         engine = Engine(program, AnalysisConfig(record_points=points))
         engine.analyze(entry)
-        h.update(emit_json(build_report(engine)))
-    h.update(emit_dot(*state_at(engine, None)))
+        answers.update(emit_json(build_report(engine)))
+    shape.update(emit_dot(*state_at(engine, None)))
     d = engine.diagram
     counts = (len(d.roots), len(d.nodes), sum(1 for _ in d.edges()), engine._next_act)
-    h.update(("roots %d nodes %d edges %d activations %d\n" % counts).encode("utf-8"))
-    return h.hexdigest()
+    shape.update(("roots %d nodes %d edges %d activations %d\n" % counts).encode("utf-8"))
+    return answers.hexdigest(), shape.hexdigest()
 
 
 def main(argv):
@@ -100,7 +104,7 @@ def main(argv):
         return 2
     for set_name in argv or SETS:
         for name, text, entry in SETS[set_name]():
-            print(answer_digest(name, text, entry), name, flush=True)
+            print(*answer_digests(name, text, entry), name, flush=True)
     return 0
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import aliasgraph
 from aliasgraph.calculus import AnalysisConfig, AnalysisError, Engine
-from aliasgraph.diagram import AliasDiagram, Label
+from aliasgraph.diagram import AliasDiagram, Label, label_path
 from aliasgraph.lang import parse_program
 from aliasgraph.query import AliasQuery, alias_pairs, build_report, query_alias
 
@@ -802,6 +802,39 @@ def test_recursion_back_into_the_entry_keeps_its_effects():
     assert aliased(e, "a", "n") and aliased(e, "a", "m") and aliased(e, "m", "n")
 
 
+def test_a_formal_moved_onto_a_private_copy_stays_there_in_later_passes():
+    """The shape of call program 148's re-bound formals.  f's first pass
+    forks two worlds, and ``x.n := y`` gives the first one a private copy
+    of a's object, moving both ``a`` and ``x`` onto it.  f absorbed its
+    own call, so it runs again; the formal is bound once, so in the later
+    pass ``x`` still denotes only what ``a`` does, in every world."""
+    src = EMPTY_CLASS + (
+        "f (x: C) local y: C do P: skip f (x) then y := x else create y end x.n := y end\n"
+        "main local a: C do create a f (a) end"
+    )
+    e = run(src)
+    assert not e.has_errors()
+    snap, scope = e.snapshots["P"]
+    a, x = path("a"), label_path(("x",), scope)
+    assert len({snap.value_set(a, start=(r,)) for r in snap.roots}) == 2
+    for r in snap.roots:
+        assert snap.value_set(x, start=(r,)) == snap.value_set(a, start=(r,))
+
+
+@pytest.mark.xfail(strict=True, reason="a pass before the recursion fixpoint converges keeps its warnings (ROADMAP item 19)")
+def test_a_void_warning_the_converged_recursion_refutes_goes():
+    """f's first pass answers its own call with the empty result, so
+    ``Result.n`` reads a void Result there; once the fixpoint converges,
+    Result holds a, and every run gets a from f with a.n = a."""
+    src = (
+        "class C feature n: C f (x: C): C do then Result := x else Result := f (x) Result := Result.n end end"
+        " run local a: C b: C do create a a.n := a b := f (a) end end"
+    )
+    e = run(src, entry="C.run")
+    assert build_report(e)["final"]["pairs"] == [["a", "a.n"], ["a", "b"], ["a.n", "b"]]
+    assert [d.render() for d in e.diagnostics] == []
+
+
 RING_OF_ONE = """class C feature
   n: C
   f0 (a: C): C do then Result := a else Result := f0 (a.n) end end
@@ -882,6 +915,20 @@ def test_point_snapshots_are_frozen_views():
     # the final void-assignment did not bleed backwards
     assert snap2.value_set(path("a")) != frozenset()
     assert values(e, "a") == frozenset()
+
+
+@pytest.mark.xfail(strict=True, reason="a point keeps only its last visit's snapshot (ROADMAP item 16)")
+def test_a_point_inside_a_loop_covers_the_zero_trip_visit():
+    """P is first visited with x = a, before any trip; every later visit
+    comes after a trip has set x to b or c.  The final pairs have all
+    three, but P keeps only its last visit and lacks ``a ~ x``."""
+    src = EMPTY_CLASS + (
+        "main local a: C b: C c: C x: C do create a create b create c"
+        " x := a loop P: skip then x := b else x := c end end end"
+    )
+    report = build_report(run(src))
+    assert report["final"]["pairs"] == [["a", "x"], ["b", "x"], ["c", "x"]]
+    assert report["points"] == [{"label": "P", "pairs": [["a", "x"], ["b", "x"], ["c", "x"]]}]
 
 
 def test_points_can_be_switched_off():

@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -169,13 +170,39 @@ def deep_choices(n):
     return "main do " + "then " * n + "skip" + " else skip end" * n + " end\n"
 
 
-@pytest.mark.parametrize("src", [deep_calls(1000), deep_choices(1000)], ids=["calls", "choices"])
-def test_deep_nesting_is_unusable_input(tmp_path, capsys, src):
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (deep_calls(1000), r"deep\.oo: the program nests too deeply to analyze"),
+        # the parser gives up first, at the token where it ran out
+        (deep_choices(1000), r"deep\.oo:1:\d+: error: the program nests too deeply to parse"),
+    ],
+    ids=["calls", "choices"],
+)
+def test_deep_nesting_is_unusable_input(tmp_path, capsys, src, message):
     rc = main(["analyze", write(tmp_path, "deep.oo", src)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "deep.oo: the program nests too deeply to analyze" in err
+    assert re.search(message, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "src, error, message",
+    [
+        (deep_calls(300), AnalysisError, "deep.oo: the program nests too deeply to analyze"),
+        (deep_choices(200), AnalysisError, "deep.oo: the program nests too deeply to analyze"),
+        (deep_choices(300), ParseError, "deep.oo:1:"),
+    ],
+    ids=["calls", "choices", "choices-parse"],
+)
+def test_deep_nesting_raises_the_librarys_own_error(src, error, message):
+    """A library caller gets a ParseError or an AnalysisError, never a
+    raw RecursionError; the parse error names the token it stopped at."""
+    with pytest.raises(error) as caught:
+        analyze_program(parse_program(src, "deep.oo"), "main")
+    assert str(caught.value).startswith(message)
+    assert "nests too deeply" in str(caught.value)
 
 
 def test_nesting_well_inside_the_recursion_limit_parses():

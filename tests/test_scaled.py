@@ -70,5 +70,6 @@ def test_answer_digests_print_one_stable_line_per_corpus_program():
     assert runs[0] == runs[1]
     corpus = sorted(p.name for p in (SCALED_DIR.parent / "corpus").glob("*.oo"))
     lines = [line.split() for line in runs[0].splitlines()]
-    assert [name for _, name in lines] == ["tests/corpus/" + name for name in corpus]
-    assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef") for digest, _ in lines)
+    assert [name for _, _, name in lines] == ["tests/corpus/" + name for name in corpus]
+    digests = [digest for answers, shape, _ in lines for digest in (answers, shape)]
+    assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef") for digest in digests)
