@@ -53,7 +53,12 @@ When an identical context is already on the stack (or the per-routine
 unroll allowance runs out), the engine adds the receivers and actuals
 to that frame's bindings, returns its accumulated result values, and
 marks it dirty: when the dirty frame's own body finishes, it is
-re-analyzed to a fixpoint, on the bindings the diagram holds.
+re-analyzed to a fixpoint, on the bindings the diagram holds.  That
+first pass is the fixpoint's pass zero: the frame records the world
+identity of every clone its first pass forked outside fixpoints, and a
+recursion fixpoint that opens the outermost scope starts its clone
+memo from those records, so its passes re-find those worlds instead of
+minting duplicates.  No other fixpoint sees the records.
 
 A routine's names are edge labels tagged with its activation's depth on
 the call stack.  Live activations have distinct depths, and a returning
@@ -85,6 +90,10 @@ from aliasgraph.lang import (
 # distinct-context recursion depth per routine
 UNROLL_LIMIT = 4
 
+# a clone's world identity: its chain's first node and the (site, branch)
+# of each choice passed (``Engine._branch_clone``)
+WorldId = Tuple[NodeId, FrozenSet[Tuple[int, int]]]
+
 
 @dataclass
 class AnalysisConfig:
@@ -110,8 +119,13 @@ class _FixpointScope:
     nested in it: the nodes each creation site minted, and the world
     registry that keeps re-executed choices stable."""
 
+    # a callee's pass-zero clone identities, read before ``Engine.lineage``
+    lineage: Dict[NodeId, WorldId] = field(default_factory=dict)
     minted: Dict[int, List[NodeId]] = field(default_factory=dict)
-    clone_memo: Dict[Tuple[NodeId, FrozenSet[Tuple[int, int]]], NodeId] = field(default_factory=dict)
+    clone_memo: Dict[WorldId, NodeId] = field(init=False)
+
+    def __post_init__(self):
+        self.clone_memo = {key: clone for clone, key in self.lineage.items()}
 
 
 @dataclass
@@ -126,6 +140,9 @@ class _Frame:
     current: Optional[Label] = None
     acc: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)  # root -> results so far
     dirty: bool = False
+    # clone -> its world identity, for the clones its first pass forked
+    # outside every fixpoint: its recursion fixpoint's pass zero
+    lineage: Dict[NodeId, WorldId] = field(default_factory=dict)
     # the routine's own names, tagged with this activation
     scope: Dict[str, Label] = field(init=False)
 
@@ -151,7 +168,7 @@ class Engine:
         self.fixpoint: Optional[_FixpointScope] = None
         self.call_stack: List[_Frame] = []
         # clone -> its world identity (``_branch_clone``); later fixpoints read it too
-        self.lineage: Dict[NodeId, Tuple[NodeId, FrozenSet[Tuple[int, int]]]] = {}
+        self.lineage: Dict[NodeId, WorldId] = {}
         self._next_act = 0  # activations opened so far
         self.entry_name: Optional[str] = None
         self.entry_frame: Optional[_Frame] = None
@@ -459,23 +476,28 @@ class Engine:
             g.roots.update(mapping.get(r, r) for r in roots)
 
     def _branch_clone(self, site, b, orig):
+        # Inside a fixpoint a re-executed choice must not keep growing the
+        # diagram, so clones carry a world identity: the node their chain
+        # started from plus one (site, branch) entry per choice passed
+        # through, the newest entry per site winning.  Forking a node at a
+        # site already on its record lands on an identity that exists, so
+        # the fork reuses that world's node instead of chaining a fresh one
+        # (two choices forking each other's clones would otherwise
+        # alternate new worlds every pass).  Nested fixpoints share the
+        # outermost one's registry, so an inner loop re-run on each outer
+        # iteration finds its worlds again.  A callee's first pass is its
+        # recursion fixpoint's pass zero: outside every fixpoint it forks
+        # fresh nodes, and each open callee records their identities, so
+        # its fixpoint, if it runs, re-finds those worlds.  The entry's
+        # choices never run again, so it records nothing.
         scope = self.fixpoint
         if scope is None:
             clone = self.diagram.fresh_node()
+            for fr in self.call_stack[1:]:
+                fr.lineage[clone] = self._fork_identity(fr.lineage, site, b, orig)[1]
         else:
-            # Inside a fixpoint a re-executed choice must not keep growing
-            # the diagram, so clones carry a world identity: the node their
-            # chain started from plus one (site, branch) entry per choice
-            # passed through, the newest entry per site winning.  Forking a
-            # node at a site already on its record lands on an identity
-            # that exists, so the fork reuses that world's node instead of
-            # chaining a fresh one (two choices forking each other's clones
-            # would otherwise alternate new worlds every pass).  Nested
-            # fixpoints share the outermost one's registry, so an inner
-            # loop re-run on each outer iteration finds its worlds again.
-            base, anc = self.lineage.get(orig, (orig, frozenset()))
-            key = (base, frozenset(p for p in anc if p[0] != site) | {(site, b)})
-            if key == (base, anc):
+            old, key = self._fork_identity(scope.lineage, site, b, orig)
+            if key == old:
                 return orig
             clone = scope.clone_memo.get(key)
             if clone is None:
@@ -484,6 +506,12 @@ class Engine:
         if orig in self.diagram.roots:
             self.diagram.roots.add(clone)
         return clone
+
+    def _fork_identity(self, known, site, b, orig):
+        # ``orig``'s world identity, read in ``known`` before ``lineage``,
+        # and the identity of its fork at (site, b)
+        base, anc = known.get(orig) or self.lineage.get(orig, (orig, frozenset()))
+        return (base, anc), (base, frozenset(p for p in anc if p[0] != site) | {(site, b)})
 
     # ------------------------------------------------------------------
     # loops
@@ -496,7 +524,7 @@ class Engine:
             instr.pos,
         )
 
-    def _fixpoint(self, step, overflow_message, pos):
+    def _fixpoint(self, step, overflow_message, pos, lineage=None):
         """Run ``step`` until the live state revisits one seen before,
         then restore the union of every iteration-boundary state.
 
@@ -506,11 +534,13 @@ class Engine:
         the step oscillates between states whose union looks stable.)
 
         The outermost fixpoint opens the scope that every fixpoint
-        nested in it shares, and closes it when it ends.
+        nested in it shares, and closes it when it ends.  A callee's
+        recursion fixpoint passes the identities of the clones its pass
+        zero forked (``lineage``); an outermost scope starts from them.
         """
         outermost = self.fixpoint is None
         if outermost:
-            self.fixpoint = _FixpointScope()
+            self.fixpoint = _FixpointScope(lineage or {})
         seen = {self._state_key()}
         for _ in range(self.config.max_iters):
             step()
@@ -663,6 +693,7 @@ class Engine:
             lambda: self._frame_pass(fr),
             "recursion fixpoint for %r exceeded %d iterations" % (fr.version.name, self.config.max_iters),
             fr.version.pos,
+            fr.lineage,
         )
 
     def _unbind_activation(self, fr):

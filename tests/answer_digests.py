@@ -6,7 +6,10 @@ The sets are ``corpus`` (``tests/corpus/``), ``scaled``
 (``tests/scaled/``), ``calls`` (the 200 programs of
 ``tests/calls/frozen.json``), and ``worlds`` and ``fixpoints`` (every
 program of those benchmark workloads at seeds 1 and 7); with no
-argument, all five, 619 programs.  Each line is ``ANSWERS SHAPE NAME``.
+argument, all five, 619 programs.  The ``sweep`` set, which runs only
+when named, is ``oracles.gen_call_program`` seeds 0-999, each under a
+limit of one second of CPU time.  Each line is ``ANSWERS SHAPE NAME``;
+a program that hits its limit prints ``timeout timeout NAME``.
 The answers digest covers the program's static diagnostics and its JSON
 report with and without point snapshots.  The shape digest covers the
 DOT drawing of the final diagram and the final root, node, edge and
@@ -23,6 +26,7 @@ this file; ``tests/test_scaled.py`` runs it on the corpus.
 
 import hashlib
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -36,6 +40,7 @@ from aliasgraph.lang import parse_program, resolve  # noqa: E402
 from aliasgraph.query import build_report, emit_dot, emit_json, state_at  # noqa: E402
 
 BENCH_SEEDS = (1, 7)
+SWEEP_SEEDS = range(1000)
 
 
 def corpus():
@@ -59,6 +64,13 @@ def calls():
         yield "tests/calls/seed%d.oo" % entry["seed"], gen_call_program(entry["seed"]), frozen["entry"]
 
 
+def sweep():
+    from oracles import gen_call_program
+
+    for seed in SWEEP_SEEDS:
+        yield "sweep/seed%d" % seed, gen_call_program(seed), "C.run"
+
+
 def _bench(name):
     import workloads
 
@@ -74,7 +86,11 @@ SETS = {
     "calls": calls,
     "worlds": lambda: _bench("worlds"),
     "fixpoints": lambda: _bench("fixpoints"),
+    "sweep": sweep,
 }
+DEFAULT_SETS = ("corpus", "scaled", "calls", "worlds", "fixpoints")
+# seconds of CPU time one program of the set may take; other sets have no limit
+CPU_LIMITS = {"sweep": 1.0}
 
 
 def answer_digests(name, text, entry):
@@ -97,14 +113,38 @@ def answer_digests(name, text, entry):
     return answers.hexdigest(), shape.hexdigest()
 
 
+class _Timeout(BaseException):
+    """Raised out of the analysis when its CPU time runs out; not an
+    ``Exception``, so no handler on the way catches it."""
+
+
+def _raise_timeout(signum, frame):
+    raise _Timeout
+
+
+def within_cpu(seconds, fn, *args):
+    """``fn(*args)``, or None once it has used ``seconds`` of CPU time."""
+    handler = signal.signal(signal.SIGVTALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
+    try:
+        return fn(*args)
+    except _Timeout:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, handler)
+
+
 def main(argv):
     unknown = [s for s in argv if s not in SETS]
     if unknown:
         print("unknown set %s; choose from %s" % (", ".join(unknown), ", ".join(SETS)), file=sys.stderr)
         return 2
-    for set_name in argv or SETS:
+    for set_name in argv or DEFAULT_SETS:
+        limit = CPU_LIMITS.get(set_name)
         for name, text, entry in SETS[set_name]():
-            print(*answer_digests(name, text, entry), name, flush=True)
+            digests = within_cpu(limit, answer_digests, name, text, entry) if limit else answer_digests(name, text, entry)
+            print(*(digests or ("timeout", "timeout")), name, flush=True)
     return 0
 
 

@@ -73,3 +73,18 @@ def test_answer_digests_print_one_stable_line_per_corpus_program():
     assert [name for _, _, name in lines] == ["tests/corpus/" + name for name in corpus]
     digests = [digest for answers, shape, _ in lines for digest in (answers, shape)]
     assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef") for digest in digests)
+
+
+def test_a_sweep_program_past_its_cpu_limit_prints_timeout(monkeypatch, capsys):
+    """The ``sweep`` set runs only when named, and a program that uses up
+    its CPU time prints ``timeout`` in place of both digests."""
+    import answer_digests
+
+    assert "sweep" not in answer_digests.DEFAULT_SETS
+    # call program 2 finishes at once; call program 3 takes seconds
+    monkeypatch.setattr(answer_digests, "SWEEP_SEEDS", (2, 3))
+    monkeypatch.setitem(answer_digests.CPU_LIMITS, "sweep", 0.2)
+    assert answer_digests.main(["sweep"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for _, _, name in lines] == ["sweep/seed2", "sweep/seed3"]
+    assert len(lines[0][0]) == 64 and lines[1][:2] == ["timeout", "timeout"]
