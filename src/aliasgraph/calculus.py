@@ -35,9 +35,12 @@ so no world's clone copies another world's wiring.  Nodes untouched by
 any branch stay shared between the worlds, which is what keeps the
 representation small.
 
-Termination of loop and recursion fixpoints rests on three policies:
-iteration stops when the live state repeats (the step is deterministic,
-so a repeat closes the orbit and the boundary union is complete), each
+A fixpoint, like a branch, runs under its own delta, which names each
+iteration-boundary state by the edges it gained and lost since entry;
+the fixpoint then rolls back and keeps the entry plus every edge a
+boundary state added.  Termination rests on three policies: iteration
+stops when the live state repeats (the step is deterministic, so a
+repeat closes the orbit and the boundary union is complete), each
 creation site may mint at most `cap` fresh nodes per outermost fixpoint
 (then its last one is reused), and branch clones made inside a
 fixpoint are memoized per (choice, branch, root) so re-executions reuse
@@ -54,11 +57,11 @@ unroll allowance runs out), the engine adds the receivers and actuals
 to that frame's bindings, returns its accumulated result values, and
 marks it dirty: when the dirty frame's own body finishes, it is
 re-analyzed to a fixpoint, on the bindings the diagram holds.  That
-first pass is the fixpoint's pass zero: the frame records the world
-identity of every clone its first pass forked outside fixpoints, and a
-recursion fixpoint that opens the outermost scope starts its clone
-memo from those records, so its passes re-find those worlds instead of
-minting duplicates.  No other fixpoint sees the records.
+first pass is the fixpoint's pass zero: every clone the first pass
+forks outside fixpoints goes into the scope the frame holds, and a
+recursion fixpoint that opens the outermost scope opens that one, so
+its passes re-find those worlds instead of minting duplicates.  No
+other fixpoint sees the scope.
 
 A routine's names are edge labels tagged with its activation's depth on
 the call stack.  Live activations have distinct depths, and a returning
@@ -122,10 +125,7 @@ class _FixpointScope:
     # a callee's pass-zero clone identities, read before ``Engine.lineage``
     lineage: Dict[NodeId, WorldId] = field(default_factory=dict)
     minted: Dict[int, List[NodeId]] = field(default_factory=dict)
-    clone_memo: Dict[WorldId, NodeId] = field(init=False)
-
-    def __post_init__(self):
-        self.clone_memo = {key: clone for clone, key in self.lineage.items()}
+    clone_memo: Dict[WorldId, NodeId] = field(default_factory=dict)
 
 
 @dataclass
@@ -140,9 +140,9 @@ class _Frame:
     current: Optional[Label] = None
     acc: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)  # root -> results so far
     dirty: bool = False
-    # clone -> its world identity, for the clones its first pass forked
-    # outside every fixpoint: its recursion fixpoint's pass zero
-    lineage: Dict[NodeId, WorldId] = field(default_factory=dict)
+    # the scope its recursion fixpoint opens if outermost, filled with
+    # the worlds its first pass forks outside every fixpoint (pass zero)
+    worlds: _FixpointScope = field(default_factory=_FixpointScope)
     # the routine's own names, tagged with this activation
     scope: Dict[str, Label] = field(init=False)
 
@@ -365,8 +365,6 @@ class Engine:
             return {}, frozenset()
         reach_others = g.reach_within(roots_outside, g.ancestors(owners))
         contested = {o for o in owners if o in reach_others}
-        if not contested:
-            return {}, frozenset()
         forkable = {o for o in contested if o not in g.roots}
         if self.fixpoint is not None or not forkable:
             return {}, frozenset(contested)
@@ -487,14 +485,15 @@ class Engine:
         # outermost one's registry, so an inner loop re-run on each outer
         # iteration finds its worlds again.  A callee's first pass is its
         # recursion fixpoint's pass zero: outside every fixpoint it forks
-        # fresh nodes, and each open callee records their identities, so
-        # its fixpoint, if it runs, re-finds those worlds.  The entry's
-        # choices never run again, so it records nothing.
+        # fresh nodes into each open callee's scope, which that callee's
+        # fixpoint opens if it runs.  The entry's choices never run again.
         scope = self.fixpoint
         if scope is None:
             clone = self.diagram.fresh_node()
             for fr in self.call_stack[1:]:
-                fr.lineage[clone] = self._fork_identity(fr.lineage, site, b, orig)[1]
+                key = self._fork_identity(fr.worlds.lineage, site, b, orig)[1]
+                fr.worlds.lineage[clone] = key
+                fr.worlds.clone_memo[key] = clone
         else:
             old, key = self._fork_identity(scope.lineage, site, b, orig)
             if key == old:
@@ -524,7 +523,7 @@ class Engine:
             instr.pos,
         )
 
-    def _fixpoint(self, step, overflow_message, pos, lineage=None):
+    def _fixpoint(self, step, overflow_message, pos, scope=None):
         """Run ``step`` until the live state revisits one seen before,
         then restore the union of every iteration-boundary state.
 
@@ -532,19 +531,21 @@ class Engine:
         further iteration replays edges the union already has.  (A plain
         "unchanged since last pass" check can quit one pass early when
         the step oscillates between states whose union looks stable.)
+        Like a branch, the fixpoint runs under its own ``Delta``, which
+        names each boundary state: the edges it gained and lost since entry.
 
         The outermost fixpoint opens the scope that every fixpoint
-        nested in it shares, and closes it when it ends.  A callee's
-        recursion fixpoint passes the identities of the clones its pass
-        zero forked (``lineage``); an outermost scope starts from them.
+        nested in it shares (a callee's recursion fixpoint hands in the
+        one its pass zero filled), and closes it when it ends.
         """
         outermost = self.fixpoint is None
         if outermost:
-            self.fixpoint = _FixpointScope(lineage or {})
-        seen = {self._state_key()}
+            self.fixpoint = scope or _FixpointScope()
+        delta = self.diagram.record()
+        seen = {self._state_key(delta)}
         for _ in range(self.config.max_iters):
             step()
-            key = self._state_key()
+            key = self._state_key(delta)
             if key in seen:
                 break
             seen.add(key)
@@ -552,28 +553,27 @@ class Engine:
             self.diagnostics.add("error", overflow_message, pos)
         if outermost:
             self.fixpoint = None
-        self._restore_union(seen)
+        self._restore_union(seen, delta)
 
-    def _state_key(self):
+    def _state_key(self, delta):
+        # Given the entry state, the delta names the edge set exactly.
         # Node identity matters: a fresh creation changes the key for
         # good, so orbit detection can only trigger once per-site caps
         # have made the step stationary.  No rule removes a node, so the
         # node count identifies the node set.
-        return (
-            self.diagram.edge_set(),
-            len(self.diagram.nodes),
-            frozenset(self.diagram.roots),
-        )
+        g = self.diagram
+        return frozenset(delta.added), frozenset(delta.removed), len(g.nodes), frozenset(g.roots)
 
-    def _restore_union(self, states):
-        # the result is the union over all iteration counts, so edges an
-        # iteration-boundary state (a key in ``states``) had come back.
-        # Edges that only lived mid-pass do not: no iteration count ever
-        # exhibits them.  Every boundary state was taken on this call
-        # stack, after each activation the step opened had closed and
-        # swept its names, so no edge here names a closed activation.
-        missing = frozenset().union(*(key[0] for key in states)) - self.diagram.edge_set()
-        for (l, s, t) in missing:
+    def _restore_union(self, states, delta):
+        # the result is the union over all iteration counts: the entry
+        # state (a boundary state too) plus every edge a boundary state
+        # (a key in ``states``) added; the enclosing delta, if any, notes
+        # them.  Edges that only lived mid-pass do not come back: no
+        # iteration count ever exhibits them.  Every boundary state was
+        # taken on this call stack, after each activation the step opened
+        # had closed and swept its names, so no edge names a closed one.
+        self.diagram.rollback(delta)
+        for (l, s, t) in frozenset().union(*(key[0] for key in states)):
             self.diagram.add_edge(l, s, t)
 
     # ------------------------------------------------------------------
@@ -693,7 +693,7 @@ class Engine:
             lambda: self._frame_pass(fr),
             "recursion fixpoint for %r exceeded %d iterations" % (fr.version.name, self.config.max_iters),
             fr.version.pos,
-            fr.lineage,
+            fr.worlds,
         )
 
     def _unbind_activation(self, fr):

@@ -194,7 +194,7 @@ class AliasDiagram:
         self._deltas = outer
 
     def edge_set(self) -> FrozenSet[Edge]:
-        return frozenset([(l, s, t) for s, out in self._out.items() for l, ts in out.items() for t in ts])
+        return frozenset(self.edges())
 
     def edges(self) -> Iterator[Edge]:
         return ((l, s, t) for s, out in self._out.items() for l, ts in out.items() for t in ts)

@@ -324,7 +324,7 @@ def emit_dot(diagram, scope=None) -> bytes:
     def edge_key(e):
         lbl, s, t = e
         return (s, lbl.name, t)
-    for (lbl, s, t) in sorted(diagram.edge_set(), key=edge_key):
+    for (lbl, s, t) in sorted(diagram.edges(), key=edge_key):
         lines.append('  n%d -> n%d [label="%s"];' % (s, t, by_label.get(lbl, lbl.name)))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

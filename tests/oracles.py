@@ -329,9 +329,13 @@ class CloningEngine(Engine):
     cloning so the united worlds cannot collide on fresh node ids.  Kept
     simple on purpose: it is the oracle delta replay is tested against,
     and it ignores the memo machinery, so it is only safe outside
-    fixpoints."""
+    fixpoints.  It refuses to fork inside one: a fixpoint runs under a
+    ``Delta`` that lives on the diagram this fork would replace, so the
+    fixpoint could neither name its states nor roll them back.  A loop
+    inside a choice's arm is fine: the fork happens outside it."""
 
     def _branches_by_replay(self, site, live):
+        assert not self.diagram._deltas, "the cloning oracle cannot fork inside a fixpoint"
         base = self.diagram
         worlds = []
         for thunk in live:

@@ -571,6 +571,56 @@ def test_nested_fixpoints_share_the_outermost_caps_and_worlds(source, entry, cap
     assert e.fixpoint is None
 
 
+# a loop in each arm of a choice; the second arm's loop walks a ring
+LOOP_IN_ARM_SRC = EMPTY_CLASS + (
+    "main local a: C b: C c: C l: C do create a create b create c a.n := b b.n := c\n"
+    "  then l := a loop l := l.n end else c.n := a l := c loop l := l.n end end\n"
+    "end"
+)
+# a loop in one arm of a choice in a callee
+LOOP_IN_CALLEE_ARM_SRC = EMPTY_CLASS + (
+    "f (x: C): C do Result := x then loop Result := Result.n end else x.n := Result end end\n"
+    "main local a: C b: C y: C do create a create b a.n := b y := f (a) end"
+)
+
+
+@pytest.mark.parametrize(
+    "source, pair",
+    [(LOOP_IN_ARM_SRC, ("a", "c.n")), (LOOP_IN_CALLEE_ARM_SRC, ("a", "y"))],
+    ids=["main", "callee"],
+)
+def test_a_loop_in_a_choice_arm_agrees_with_cloning(source, pair):
+    """Each loop's fixpoint runs under a delta nested in its branch's:
+    the union the fixpoint restores is noted in the branch's delta, and
+    replay carries it into the arm's world.  Cloning forks outside the
+    loops, so it can run these programs.  ``pair`` holds in the world of
+    the arm that writes a field."""
+    e = run(source)
+    pairs = alias_pairs(e.diagram, e.report_scope(), e.universe)
+    slow = run(source, engine=CloningEngine)
+    assert pairs == alias_pairs(slow.diagram, slow.report_scope(), e.universe)
+    assert pair in pairs
+
+
+def test_fixpoints_copy_no_whole_edge_set(monkeypatch):
+    """A fixpoint names each boundary state by its own delta and restores
+    the union by rolling that delta back, so a loop, a recursion and a
+    loop in a callee's choice arm keep their pairs with ``edge_set``
+    unavailable."""
+    cases = [(NESTED_LOOPS_SRC, "main"), (LOOP_IN_RECURSION_SRC, "C.run"), (LOOP_IN_CALLEE_ARM_SRC, "main")]
+
+    def pairs():
+        return [alias_pairs(e.diagram, e.report_scope(), e.universe) for e in (run(s, entry) for s, entry in cases)]
+
+    want = pairs()
+
+    def no_copy(self):
+        raise AssertionError("the analysis copied the whole edge set")
+
+    monkeypatch.setattr(AliasDiagram, "edge_set", no_copy)
+    assert pairs() == want
+
+
 # ---------------------------------------------------------------------------
 # calls
 # ---------------------------------------------------------------------------
