@@ -311,20 +311,17 @@ class Engine:
         for owners, vals, copies, weak in plans:
             targets = {copies.get(v, v) for v in vals}
             for o in owners:
-                mine = copies.get(o, o)
-                if o in weak:
-                    for t in targets:
-                        self.diagram.add_edge(attr, mine, t)
-                else:
-                    self._set_targets(attr, mine, targets)
+                self._set_targets(attr, copies.get(o, o), targets, o in weak)
 
-    def _set_targets(self, label, source, targets):
-        """Make ``targets`` the whole target set of (label, source),
-        writing only the edges that change."""
+    def _set_targets(self, label, source, targets, weak=False):
+        """The field-write rule: make ``targets`` the whole target set of
+        (label, source), writing only the edges that change.  A weak
+        write keeps the old targets: it only adds the missing ones."""
         g = self.diagram
         old = g.successors(source, label)
-        for t in [t for t in old if t not in targets]:
-            g.remove_edge(label, source, t)
+        if not weak:
+            for t in [t for t in old if t not in targets]:
+                g.remove_edge(label, source, t)
         for t in targets:
             # ``old`` is the live set (emptied, not refilled, once its
             # last target goes), so the test reads the current edges

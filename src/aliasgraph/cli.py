@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from aliasgraph.calculus import AnalysisConfig, AnalysisError, Engine
+from aliasgraph.calculus import AnalysisConfig, AnalysisError, analyze_program
 from aliasgraph.lang import ParseError, parse_file, resolve
 from aliasgraph.query import (
     AliasQuery,
@@ -55,8 +55,7 @@ def _load(path, entry, config):
         _print_diagnostics(static)
         if any(d.severity == "error" for d in static):
             return None, 2
-        engine = Engine(program, config)
-        engine.analyze(entry)
+        engine = analyze_program(program, entry, config)
     except (OSError, UnicodeDecodeError) as exc:
         _say("cannot read %s: %s" % (path, exc), "31", sys.stderr)
         return None, 2

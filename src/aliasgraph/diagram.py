@@ -68,18 +68,13 @@ class Label(NamedTuple):
     routine-local name: 0 for object fields and for the entry routine's
     own names, d for a callee d calls deep.  Two live activations never
     share a depth, and a closed one's labels are swept, so a tag tells
-    live activations apart.  Labels order and hash as the tuple of their
-    fields.
-
-    ``prime`` is always 0: the analysis binds a qualified call's actuals
-    per world and installs no back-pointer labels, so nothing here sets
-    or reads it.  It stays only because the benchmark's reference path
-    walk (``bench/workloads.py``, ``PathWalk``) still reads it.
+    live activations apart.  Labels order and hash as the tuple
+    (name, tag).
     """
 
     name: str
     tag: int = 0
-    prime: int = 0
+    prime = 0  # a class constant, not a field: only bench/workloads.py's PathWalk reads it
 
 
 Edge = Tuple[Label, NodeId, NodeId]

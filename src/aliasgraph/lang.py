@@ -766,7 +766,7 @@ class Resolver:
         if isinstance(instr, Assign):
             self.check_target(instr.target, routine, formals, instr.pos)
             if isinstance(instr.source, CallExpr):
-                self.check_call(instr.source, routine)
+                self.check_call(instr.source, routine, value=True)
             elif instr.source is not None:
                 self.check_path(instr.source, routine, instr.pos)
         elif isinstance(instr, Create):
@@ -805,10 +805,12 @@ class Resolver:
         if why is not None:
             self.diagnostics.add("error", why, pos)
 
-    def check_call(self, call, routine):
+    def check_call(self, call, routine, value=False):
         versions, why = self.table.callees(routine, call)
         if why is not None:
             self.diagnostics.add("error", why, call.pos)
+        elif value and not versions[0].is_function():
+            self.diagnostics.add("error", "%r is a procedure; it returns no value to assign" % call.name, call.pos)
         for a in call.actuals:
             if a is not None:
                 self.check_path(a, routine, call.pos)

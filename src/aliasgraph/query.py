@@ -213,30 +213,20 @@ def state_at(engine, at):
 
 
 def check_acyclic(diagram, p, via, k, scope=None):
-    """No node within k via-steps of p's values lies on a via-cycle."""
-    ball = set(diagram.value_set(resolve_path(p, scope)))
-    frontier = set(ball)
+    """No node within k via-steps of p's values lies on a via-cycle:
+    one that the closure of its own one-step values reaches."""
+    step = (via,)
+    ball = frontier = diagram.value_set(resolve_path(p, scope))
     for _ in range(k):
-        nxt = set()
-        for n in frontier:
-            nxt |= diagram.successors(n, via)
-        nxt -= ball
-        if not nxt:
-            break
-        ball |= nxt
-        frontier = nxt
-    for n in sorted(ball):
-        # on a cycle iff n reaches itself in >= 1 via-step
-        seen = set(diagram.successors(n, via))
-        queue = list(seen)
-        while queue:
-            m = queue.pop()
-            if m == n:
-                return False
-            for s in diagram.successors(m, via):
-                if s not in seen:
-                    seen.add(s)
-                    queue.append(s)
+        frontier = diagram.value_set(step, frontier) - ball
+        ball |= frontier
+    for n in ball:
+        reach = frontier = diagram.value_set(step, (n,))
+        while frontier and n not in reach:
+            frontier = diagram.value_set(step, frontier) - reach
+            reach |= frontier
+        if n in reach:
+            return False
     return True
 
 

@@ -504,3 +504,33 @@ def alias_pairs_reference(diagram, scope, name_paths):
             if any(vp[r] & vq[r] for r in diagram.roots):
                 pairs.append((p, q))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# acyclicity from the edge list
+# ---------------------------------------------------------------------------
+
+
+def acyclic_reference(d, start, via, k):
+    """``query.check_acyclic`` for the one-label path ``start``, read off
+    ``d.edges()``: the nodes on a via-cycle are those the transitive
+    closure of the via-edges relates to themselves, and the ball is the
+    nodes a breadth-first search from start's values meets within k
+    via-steps."""
+    step = {(s, t) for label, s, t in d.edges() if label == via}
+    closure = set(step)
+    while True:
+        longer = {(a, c) for a, b in closure for b2, c in step if b == b2} - closure
+        if not longer:
+            break
+        closure |= longer
+    on_cycle = {a for a, b in closure if a == b}
+    dist = {t: 0 for label, s, t in d.edges() if label == start and s in d.roots}
+    queue = list(dist)
+    while queue:
+        n = queue.pop(0)
+        for s, t in step:
+            if s == n and t not in dist and dist[n] < k:
+                dist[t] = dist[n] + 1
+                queue.append(t)
+    return not on_cycle & set(dist)

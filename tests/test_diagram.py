@@ -343,13 +343,9 @@ def test_ancestors_and_reach_within():
 
 
 def test_label_orders_and_hashes_as_its_fields():
-    assert sorted([Label("b"), Label("a", 2), Label("a", 1, 1), Label("a", 1)]) == [
-        Label("a", 1),
-        Label("a", 1, 1),
-        Label("a", 2),
-        Label("b"),
-    ]
-    assert hash(Label("a", 1, 2)) == hash(("a", 1, 2))
+    assert sorted([Label("b"), Label("a", 2), Label("a", 1)]) == [Label("a", 1), Label("a", 2), Label("b")]
+    assert hash(Label("a", 1)) == hash(("a", 1))
+    assert Label._fields == ("name", "tag") and Label("a").prime == 0
 
 
 # -- change records ------------------------------------------------------------------

@@ -438,3 +438,17 @@ def test_universe_sees_condition_operands_and_actuals():
     u = build_expr_universe(parse_program("main local a: C do if a.b = Void then f (a.c) end end f (v: C) do skip end class C feature b: C c: C end"))
     assert ("a", "b") in u
     assert ("a", "c") in u
+
+
+def test_a_procedure_call_is_no_value():
+    text = """
+    class C feature
+      n: C
+      p (x: C) do n := x end
+      f (x: C): C do Result := x end
+    end
+    main local a: C b: C do b := a.%s (a) end
+    """
+    # reported at the call, which starts at its receiver
+    assert [d.render() for d in diags(text % "p")] == ["<input>:7:34: error: 'p' is a procedure; it returns no value to assign"]
+    assert diags(text % "f") == []

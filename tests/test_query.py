@@ -33,7 +33,7 @@ from aliasgraph.query import (
     resolve_path,
 )
 
-from oracles import alias_pairs_reference, may_alias
+from oracles import acyclic_reference, alias_pairs_reference, may_alias
 from util import DEUTSCH_SRC, DISPATCH_SRC, FLOW_SRC, build, run
 
 
@@ -210,12 +210,19 @@ def test_acyclic_is_monotone_in_k():
     d = build([0], [("x", 0, 1), ("tl", 1, 2), ("tl", 2, 3), ("tl", 3, 3)])
     verdicts = [check_acyclic(d, "x", TL, k) for k in range(5)]
     assert verdicts[0] is True and verdicts[4] is False
-    assert all(a or not b for a, b in zip(verdicts, verdicts[1:])) is False or True
-    seen_false = False
-    for v in verdicts:
-        if not v:
-            seen_false = True
-        assert not (seen_false and v), "a violated depth may not pass again"
+    assert all(a or not b for a, b in zip(verdicts, verdicts[1:]))
+
+
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=2),
+    st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8),
+    st.integers(0, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_acyclic_agrees_with_the_closure_reference(xs, tls, k):
+    # root 0's x values and tl edges among nodes 1-5
+    d = build([0], [("x", 0, n) for n in xs] + [("tl", s, t) for s, t in tls])
+    assert check_acyclic(d, "x", TL, k) == acyclic_reference(d, Label("x"), TL, k)
 
 
 def test_pairwise_heads_on_separate_lists():
