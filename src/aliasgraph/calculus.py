@@ -23,8 +23,8 @@ The engine walks a routine body and rewrites one shared diagram in place:
 
 Choice handling never copies whole diagrams.  Each branch runs against
 the shared diagram while the diagram records the branch's net added and
-removed edges (``AliasDiagram.record``); the branch is then rolled back,
-and its new roots are the ones the root set gained.  Branch one stays
+removed edges and the roots it gained (``AliasDiagram.record``); the
+branch is then rolled back, which drops those roots too.  Branch one stays
 in place; every further branch gets fresh clones of the roots (and of
 any other touched node).  Replay then reads, off the restored state and
 before any write, every edge each clone takes from its original: the
@@ -36,16 +36,16 @@ any branch stay shared between the worlds, which is what keeps the
 representation small.
 
 A fixpoint, like a branch, runs under its own delta, which names each
-iteration-boundary state by the edges it gained and lost since entry;
-the fixpoint then rolls back and keeps the entry plus every edge a
-boundary state added.  Termination rests on three policies: iteration
-stops when the live state repeats (the step is deterministic, so a
-repeat closes the orbit and the boundary union is complete), each
-creation site may mint at most `cap` fresh nodes per outermost fixpoint
-(then its last one is reused), and branch clones made inside a
-fixpoint are memoized per (choice, branch, root) so re-executions reuse
-them instead of minting more.  Nested loops and recursions share the
-outermost fixpoint's scope, which holds both.
+iteration-boundary state by the edges it gained and lost and the roots
+it gained since entry; the fixpoint then rolls back and keeps the entry
+plus every edge and root a boundary state added.  Termination rests on
+three policies: iteration stops when the live state repeats (the step
+is deterministic, so a repeat closes the orbit and the boundary union
+is complete), each creation site may mint at most `cap` fresh nodes per
+outermost fixpoint (then its last one is reused), and branch clones
+made inside a fixpoint are memoized per (choice, branch, root) so
+re-executions reuse them instead of minting more.  Nested loops and
+recursions share the outermost fixpoint's scope, which holds both.
 
 Recursive calls descend while their context is new.  A context is the
 routine plus its receivers plus the actuals' value sets.  An unqualified
@@ -338,17 +338,13 @@ class Engine:
         update can land in place.
 
         The copied region is the forkable owners' cone: every node on a
-        path from a group root to such an owner, which is the group's
-        reach within their ancestors.  Every node the group reaches
-        that feeds a cone node is itself in the cone, so moving the
-        roots' and cone-internal edges onto the copies carries the whole
-        region over in one pass; nothing outside the cone can point into
-        it from the group's side, and every other root keeps the
-        originals untouched.
-
-        Every path from a root into an owner runs through the owners'
-        ancestors, so the other roots' reach is walked inside that set
-        only.
+        path from a group root to such an owner.  Every node the group
+        reaches that feeds a cone node is itself in the cone, so moving
+        the roots' and cone-internal edges onto the copies carries the
+        whole region over in one pass; nothing outside the cone can
+        point into it from the group's side, and every other root keeps
+        the originals untouched.  What the other roots see of the
+        owners is likewise the nodes on their paths into them.
 
         No copies are made while a fixpoint is running: a fresh copy per
         pass would keep the state from ever repeating, so the iteration
@@ -357,21 +353,22 @@ class Engine:
         iteration still terminates.
         """
         g = self.diagram
-        roots_outside = g.roots - set(class_roots)
+        roots_outside = g.roots.difference(class_roots)
         if not roots_outside:
             return {}, frozenset()
-        reach_others = g.reach_within(roots_outside, g.ancestors(owners))
+        reach_others = g.between(roots_outside, owners)
         contested = {o for o in owners if o in reach_others}
         forkable = {o for o in contested if o not in g.roots}
         if self.fixpoint is not None or not forkable:
             return {}, frozenset(contested)
-        cone = g.reach_within(class_roots, g.ancestors(forkable))
+        cone = g.between(class_roots, forkable)
         shared = {n for n in cone if n in reach_others and n not in g.roots}
         # sorted: the copies are allocated in this order
         copies = {orig: g.fresh_node() for orig in sorted(shared)}
         for orig, copy in copies.items():
-            for l, t in g.out_edges(orig):
-                g.add_edge(l, copy, copies.get(t, t))
+            for l, ts in g.out_map(orig).items():
+                for t in ts:
+                    g.add_edge(l, copy, copies.get(t, t))
         # entry edges: a source that feeds a copied node is in the cone
         # exactly when the group reaches it; if it was not copied it is
         # either a group root or private to the group, so rerouting it
@@ -430,23 +427,20 @@ class Engine:
         g = self.diagram
         pre_roots = set(g.roots)
         watermark = g._next_id
-        runs = []  # per branch: its delta, its new roots, the older nodes it touched
+        runs = []  # per branch: its delta, the older nodes it touched
         for thunk in live:
             delta = g.record()
             thunk()
             # roll back: the next branch starts from the same state, and
             # replay below re-applies the net effects and the new roots
             g.rollback(delta)
-            assert pre_roots <= g.roots, "a branch removed a root"
-            touched = {s for (_, s, _) in delta.added | delta.removed if s < watermark}
-            runs.append((delta, g.roots - pre_roots, touched))
-            g.roots &= pre_roots
+            runs.append((delta, {s for (_, s, _) in delta.added | delta.removed if s < watermark}))
 
         # branch one stays in place; each other branch forks the roots and
         # every older node it or branch one touched, cloned in sorted order
         mappings = [{}] + [
-            {orig: self._branch_clone(site, b, orig) for orig in sorted(pre_roots | touched | runs[0][2])}
-            for b, (_, _, touched) in enumerate(runs[1:], 1)
+            {orig: self._branch_clone(site, b, orig) for orig in sorted(pre_roots | touched | runs[0][1])}
+            for b, (_, touched) in enumerate(runs[1:], 1)
         ]
         # read every clone's wiring off the restored state before any
         # write: its original's out-edges re-targeted into its world, and
@@ -457,18 +451,19 @@ class Engine:
             for mapping in mappings
             for orig, copy in mapping.items()
             if copy != orig
-            for edge in [(l, copy, mapping.get(t, t)) for l, t in g.out_edges(orig)]
+            for edge in [(l, copy, mapping.get(t, t)) for l, ts in g.out_map(orig).items() for t in ts]
             + [(l, s, copy) for l, s in g.in_edges(orig) if s not in mapping]
         ]
         # add_edge skips what a clone memoized by the fixpoint holds already
         for edge in wiring:
             g.add_edge(*edge)
-        for (delta, roots, _), mapping in zip(runs, mappings):
+        for (delta, _), mapping in zip(runs, mappings):
             for (l, s, t) in delta.added:
                 g.add_edge(l, mapping.get(s, s), mapping.get(t, t))
             for (l, s, t) in delta.removed:
                 g.remove_edge(l, mapping.get(s, s), mapping.get(t, t))
-            g.roots.update(mapping.get(r, r) for r in roots)
+            for r in delta.roots:
+                g.add_root(mapping.get(r, r))
 
     def _branch_clone(self, site, b, orig):
         # Inside a fixpoint a re-executed choice must not keep growing the
@@ -500,7 +495,7 @@ class Engine:
                 clone = scope.clone_memo[key] = self.diagram.fresh_node()
                 self.lineage[clone] = key
         if orig in self.diagram.roots:
-            self.diagram.roots.add(clone)
+            self.diagram.add_root(clone)
         return clone
 
     def _fork_identity(self, known, site, b, orig):
@@ -529,7 +524,8 @@ class Engine:
         "unchanged since last pass" check can quit one pass early when
         the step oscillates between states whose union looks stable.)
         Like a branch, the fixpoint runs under its own ``Delta``, which
-        names each boundary state: the edges it gained and lost since entry.
+        names each boundary state: the edges it gained and lost, and the
+        roots it gained, since entry.
 
         The outermost fixpoint opens the scope that every fixpoint
         nested in it shares (a callee's recursion fixpoint hands in the
@@ -553,23 +549,25 @@ class Engine:
         self._restore_union(seen, delta)
 
     def _state_key(self, delta):
-        # Given the entry state, the delta names the edge set exactly.
-        # Node identity matters: a fresh creation changes the key for
-        # good, so orbit detection can only trigger once per-site caps
-        # have made the step stationary.  No rule removes a node, so the
-        # node count identifies the node set.
-        g = self.diagram
-        return frozenset(delta.added), frozenset(delta.removed), len(g.nodes), frozenset(g.roots)
+        # Given the entry state, the delta names the edge set and the
+        # root set exactly.  Node identity matters: a fresh creation
+        # changes the key for good, so orbit detection can only trigger
+        # once per-site caps have made the step stationary.  No rule
+        # removes a node, so the node count identifies the node set.
+        return frozenset(delta.added), frozenset(delta.removed), len(self.diagram.nodes), frozenset(delta.roots)
 
     def _restore_union(self, states, delta):
         # the result is the union over all iteration counts: the entry
-        # state (a boundary state too) plus every edge a boundary state
-        # (a key in ``states``) added; the enclosing delta, if any, notes
-        # them.  Edges that only lived mid-pass do not come back: no
-        # iteration count ever exhibits them.  Every boundary state was
-        # taken on this call stack, after each activation the step opened
-        # had closed and swept its names, so no edge names a closed one.
+        # state (a boundary state too) plus every edge and every root a
+        # boundary state (a key in ``states``) added; the enclosing
+        # delta, if any, notes them.  Edges that only lived mid-pass do
+        # not come back: no iteration count ever exhibits them.  Every
+        # boundary state was taken on this call stack, after each
+        # activation the step opened had closed and swept its names, so
+        # no edge names a closed one.
         self.diagram.rollback(delta)
+        for r in frozenset().union(*(key[3] for key in states)):
+            self.diagram.add_root(r)
         for (l, s, t) in frozenset().union(*(key[0] for key in states)):
             self.diagram.add_edge(l, s, t)
 

@@ -27,9 +27,11 @@ Invariants maintained by every mutating operation:
     targets, with an entry for every node, so its keys are the node
     set) and incoming (target -> (label, source) pairs); the two agree,
     and neither keeps an empty bucket;
-  * open deltas record each edge change, innermost first: the change
-    is noted in the innermost delta ``record`` opened, and ``rollback``
-    undoes it off the record; a finished analysis leaves none open.
+  * open deltas record each edge change and each root gained,
+    innermost first: the change is noted in the innermost delta
+    ``record`` opened, and ``rollback`` undoes it off the record, so a
+    root gained under an inner delta never reaches an outer one; a
+    finished analysis leaves none open.
 
 The engine keeps one more: an edge whose label carries a nonzero
 activation tag leaves a root.  A routine's names are bound from the
@@ -48,8 +50,11 @@ Example:
     >>> d = g.record()
     >>> g.remove_edge(Label("a"), r, n)
     True
+    >>> s = g.add_root()
     >>> g.rollback(d)
     >>> d.removed == {(Label("a"), r, n)} and g.value_set((Label("a"),)) == frozenset({n})
+    True
+    >>> d.roots == {s} and g.roots == {r}
     True
 """
 
@@ -81,11 +86,13 @@ Edge = Tuple[Label, NodeId, NodeId]
 
 
 class Delta:
-    """The net edge change since ``AliasDiagram.record`` opened it."""
+    """The net edge change and the roots gained (no rule removes one)
+    since ``AliasDiagram.record`` opened it."""
 
     def __init__(self) -> None:
         self.added: Set[Edge] = set()
         self.removed: Set[Edge] = set()
+        self.roots: Set[NodeId] = set()
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +132,13 @@ class AliasDiagram:
         self._out[n] = {}
         return n
 
-    def add_root(self) -> NodeId:
-        n = self.fresh_node()
-        self.roots.add(n)
+    def add_root(self, n: Optional[NodeId] = None) -> NodeId:
+        """Make ``n``, or a fresh node, a root, noted as gained in the innermost open delta."""
+        n = self.fresh_node() if n is None else n
+        if n not in self.roots:
+            self.roots.add(n)
+            if self._deltas:
+                self._deltas[-1].roots.add(n)
         return n
 
     def ensure_node(self, n: NodeId) -> None:
@@ -173,8 +184,8 @@ class AliasDiagram:
         return True
 
     def record(self) -> Delta:
-        """Open a delta that notes each edge change until ``rollback``
-        closes it.  Deltas nest; a change is noted in the innermost."""
+        """Open a delta that notes each change until ``rollback`` closes
+        it.  Deltas nest; a change is noted in the innermost."""
         self._deltas.append(Delta())
         return self._deltas[-1]
 
@@ -186,6 +197,7 @@ class AliasDiagram:
             self.remove_edge(*e)
         for e in delta.removed:
             self.add_edge(*e)
+        self.roots -= delta.roots
         self._deltas = outer
 
     def edge_set(self) -> FrozenSet[Edge]:
@@ -193,11 +205,6 @@ class AliasDiagram:
 
     def edges(self) -> Iterator[Edge]:
         return ((l, s, t) for s, out in self._out.items() for l, ts in out.items() for t in ts)
-
-    def out_edges(self, source: NodeId) -> Iterator[Tuple[Label, NodeId]]:
-        for label, targets in self._out.get(source, _NO_EDGES).items():
-            for t in targets:
-                yield label, t
 
     # The rest of this section hands out the live index: collect what
     # it yields before changing the diagram, and never mutate it.
@@ -236,25 +243,22 @@ class AliasDiagram:
 
     # -- reachability ------------------------------------------------------------
 
-    def ancestors(self, nodes: Iterable[NodeId]) -> Set[NodeId]:
-        """``nodes`` plus every node with a path into one of them."""
-        seen = set(nodes)
-        work = list(seen)
+    def between(self, starts: Iterable[NodeId], targets: Iterable[NodeId]) -> Set[NodeId]:
+        """The nodes on some path from ``starts`` into ``targets``, ends
+        included: what a start reaches within the targets' ancestors."""
+        above = set(targets)
+        work = list(above)
         while work:
             for _, s in self._in.get(work.pop(), ()):
-                if s not in seen:
-                    seen.add(s)
+                if s not in above:
+                    above.add(s)
                     work.append(s)
-        return seen
-
-    def reach_within(self, starts: Iterable[NodeId], allowed: Set[NodeId]) -> Set[NodeId]:
-        """Nodes reached from ``starts`` on paths that stay in ``allowed``."""
-        seen = {n for n in starts if n in allowed}
+        seen = {n for n in starts if n in above}
         work = list(seen)
         while work:
-            for targets in self._out[work.pop()].values():
-                for t in targets:
-                    if t in allowed and t not in seen:
+            for ts in self._out[work.pop()].values():
+                for t in ts:
+                    if t in above and t not in seen:
                         seen.add(t)
                         work.append(t)
         return seen

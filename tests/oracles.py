@@ -394,9 +394,8 @@ def reachable_nodes(d):
         if n in seen:
             continue
         seen.add(n)
-        for _, t in d.out_edges(n):
-            if t not in seen:
-                frontier.append(t)
+        for ts in d.out_map(n).values():
+            frontier.extend(t for t in ts if t not in seen)
     return seen
 
 

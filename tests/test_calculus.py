@@ -176,7 +176,7 @@ def test_replay_onto_a_memoized_clone_adds_only_the_edges_it_lacks(monkeypatch):
             for m in mappings.values():
                 for orig, copy in m.items():
                     if copy != orig:
-                        wanted |= {(l2, copy, m.get(t2, t2)) for l2, t2 in g.out_edges(orig)}
+                        wanted |= {(l2, copy, m.get(t2, t2)) for l2, ts in g.out_map(orig).items() for t2 in ts}
                         wanted |= {(l2, s2, copy) for l2, s2 in g.in_edges(orig) if s2 not in m}
             r["lacking"] = {(l2, s2, t2) for l2, s2, t2 in wanted if t2 not in g.successors(s2, l2)}
         changed = add_edge(g, l, s, t)
@@ -619,6 +619,60 @@ def test_fixpoints_copy_no_whole_edge_set(monkeypatch):
 
     monkeypatch.setattr(AliasDiagram, "edge_set", no_copy)
     assert pairs() == want
+
+
+# a three-arm choice nested in one arm of a choice
+THREE_ARMS_IN_AN_ARM_SRC = EMPTY_CLASS + (
+    "main local a: C b: C c: C x: C do create a create b create c\n"
+    "  then x := a then x.n := b else x.n := c else x := b a.n := c end else b.n := a end\n"
+    "end"
+)
+ROOT_SET_MUTATORS = (
+    "add", "discard", "remove", "pop", "clear", "update", "difference_update", "intersection_update",
+    "symmetric_difference_update", "__ior__", "__iand__", "__isub__", "__ixor__",
+)
+
+
+def _diagram_only(name):
+    def method(self, *args):
+        caller = sys._getframe(1).f_code.co_filename
+        assert caller == aliasgraph.diagram.__file__, "%s on the root set from %s" % (name, caller)
+        return getattr(set, name)(self, *args)
+    return method
+
+
+def test_only_the_diagram_edits_the_root_set(monkeypatch):
+    """A run's roots are noted in its ``Delta`` by ``add_root``, and
+    ``rollback`` drops them, so replay and the fixpoints keep their
+    pairs with a root set that refuses every write from outside
+    ``diagram.py``: nested loops, a loop in a recursion, a loop in a
+    callee's choice arm, and a three-arm choice in a choice arm.  The
+    pairs are the ones the engine gave when it edited the root set
+    itself, and cloning's where it can fork."""
+    cases = [
+        (NESTED_LOOPS_SRC, "main", NESTED_LOOPS_PAIRS, False),
+        (LOOP_IN_RECURSION_SRC, "C.run", LOOP_IN_RECURSION_PAIRS, False),
+        (LOOP_IN_CALLEE_ARM_SRC, "main", [("a", "a.n"), ("a", "y"), ("a.n", "b"), ("a.n", "y"), ("b", "y")], True),
+        (THREE_ARMS_IN_AN_ARM_SRC, "main", [
+            ("a", "b.n"), ("a", "x"), ("a.n", "b"), ("a.n", "c"), ("a.n", "x.n"), ("b", "x"), ("b", "x.n"), ("c", "x.n"),
+        ], True),
+    ]
+    for source, entry, pairs, clones in cases:
+        if clones:
+            slow = run(source, entry, engine=CloningEngine)
+            assert alias_pairs(slow.diagram, slow.report_scope(), slow.universe) == pairs
+    guarded = type("DiagramOnlyRoots", (set,), {name: _diagram_only(name) for name in ROOT_SET_MUTATORS})
+    init = AliasDiagram.__init__
+
+    def guarded_init(self):
+        init(self)
+        self.roots = guarded()
+
+    monkeypatch.setattr(AliasDiagram, "__init__", guarded_init)
+    for source, entry, pairs, _ in cases:
+        e = run(source, entry)
+        assert isinstance(e.diagram.roots, guarded)
+        assert alias_pairs(e.diagram, e.report_scope(), e.universe) == pairs
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_include_adds_isolated_node():
     n = g.fresh_node()
     assert n not in {n0, n1, n2}
     assert g.edge_set() == before
-    assert not list(g.out_edges(n))
+    assert not g.out_map(n)
 
 
 def test_union_merges_componentwise_on_shared_ids():
@@ -329,17 +329,21 @@ def test_edge_stores_follow_a_model_of_triples(ops):
     g.check_invariants()
 
 
-def test_ancestors_and_reach_within():
+def test_between_keeps_the_nodes_on_paths_into_the_targets():
     g, n0, n1, n2 = reference_graph()
-    n3 = g.fresh_node()
+    n3, n4 = g.fresh_node(), g.fresh_node()
     g.add_edge(A, n3, n1)
-    assert g.ancestors([n1]) == {n0, n1, n3}
-    assert g.ancestors([n2]) == {n0, n1, n2, n3}
-    # n2 is reached from n0 directly, and through n1 only when n1 is allowed
-    assert g.reach_within([n0], {n0, n2}) == {n0, n2}
-    assert g.reach_within([n3], {n3, n2}) == {n3}
-    assert g.reach_within([n3], {n3, n1, n2}) == {n3, n1, n2}
-    assert g.reach_within([n1], {n0}) == set()
+    g.add_edge(B, n2, n4)
+    # n0 reaches n1 directly; n2 and n4 lie past it, and n3 is no start
+    assert g.between([n0], [n1]) == {n0, n1}
+    # n0 reaches n2 directly and through n1
+    assert g.between([n0], [n2]) == {n0, n1, n2}
+    assert g.between([n3, n0], [n2]) == {n0, n1, n2, n3}
+    # a start that is a target is a path of its own; one that reaches
+    # no target is on none
+    assert g.between([n2], [n2, n1]) == {n2}
+    assert g.between([n4], [n1]) == set()
+    assert g.between([n1], [n0]) == set()
 
 
 def test_label_orders_and_hashes_as_its_fields():
@@ -404,6 +408,41 @@ def test_an_inner_rollback_leaves_the_outer_delta_as_it_was():
     assert (outer.added, outer.removed) == ({(X, n0, n2)}, {(B, n1, n2)})
     g.rollback(outer)
     assert g.edge_set() == reference_graph()[0].edge_set()
+    g.check_invariants()
+
+
+def test_rolling_back_a_delta_drops_the_roots_it_gained():
+    g, n0, n1, n2 = reference_graph()
+    delta = g.record()
+    fresh = g.add_root()
+    assert g.add_root(n1) == n1
+    # a root the diagram already has is no gain
+    assert g.add_root(n0) == n0
+    g.add_edge(X, fresh, n2)
+    assert delta.roots == {fresh, n1} and g.roots == {n0, n1, fresh}
+    g.rollback(delta)
+    assert g.roots == {n0}
+    assert g.edge_set() == reference_graph()[0].edge_set()
+    # the node stays: only the root set forgets it
+    assert fresh in g.nodes
+    g.check_invariants()
+
+
+def test_an_inner_deltas_roots_never_reach_the_outer_one():
+    g, n0, n1, n2 = reference_graph()
+    outer = g.record()
+    g.add_root(n1)
+    inner = g.record()
+    g.add_root(n2)
+    fresh = g.add_root()
+    assert (outer.roots, inner.roots) == ({n1}, {n2, fresh})
+    g.rollback(inner)
+    assert outer.roots == {n1} and g.roots == {n0, n1}
+    # a root gained again once the inner delta is closed lands in the outer
+    g.add_root(n2)
+    assert outer.roots == {n1, n2}
+    g.rollback(outer)
+    assert g.roots == {n0}
     g.check_invariants()
 
 
